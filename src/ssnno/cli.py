@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -121,16 +122,7 @@ def _train_best(data, arch, weights, config, n_seeds: int, repair: bool):
     best = None
     failures = []
     for k in range(n_seeds):
-        cfg_k = training.TrainConfig(
-            max_iterations=config.max_iterations,
-            gradient_tolerance=config.gradient_tolerance,
-            lbfgs_memory=config.lbfgs_memory,
-            c1=config.c1, c2=config.c2, max_backtracks=config.max_backtracks,
-            seed=config.seed + k,
-            init_scale=config.init_scale,
-            baseline_mode=config.baseline_mode,
-            max_outer_passes=config.max_outer_passes,
-        )
+        cfg_k = dataclasses.replace(config, seed=config.seed + k)
         initial = random_model(arch, np.random.default_rng(cfg_k.seed), cfg_k.init_scale)
         try:
             if repair:
@@ -246,9 +238,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-_MC_MEASURES = ("V_x1", "V_x2", "V_x3", "MSE_tr", "MSE_ts")
-
-
 def _mc_cell(cell_args):
     """One Monte Carlo cell: dataset at a noise level, one mode, one seed."""
     (level_idx, noise_std, mode_name, seed, base_seed, d, max_iter, n_samples, split) = cell_args
@@ -289,6 +278,7 @@ def cmd_montecarlo(args) -> int:
             results = list(pool.map(_mc_cell, cells))
     else:
         results = [_mc_cell(c) for c in cells]
+    measures = tuple(f"V_x{i + 1}" for i in range(args.d)) + ("MSE_tr", "MSE_ts")
 
     # best seed per (level, mode) by final training loss, aggregation over successes
     best: dict[tuple[int, str], tuple] = {}
@@ -301,16 +291,16 @@ def cmd_montecarlo(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     detail_path = out.with_name(out.stem + "_cells.csv")
     with detail_path.open("w", newline="") as fh:
-        fh.write("level_index,noise_std,mode,seed,status,train_loss," + ",".join(_MC_MEASURES) + "\n")
+        fh.write("level_index,noise_std,mode,seed,status,train_loss," + ",".join(measures) + "\n")
         for level_idx, lvl, mode_name, seed, status, total, metrics in results:
-            vals = ",".join(repr(metrics.get(k, float("nan"))) for k in _MC_MEASURES)
+            vals = ",".join(repr(metrics.get(k, float("nan"))) for k in measures)
             fh.write(f"{level_idx},{lvl},{mode_name},{seed},{status},{total!r},{vals}\n")
 
     with out.open("w", newline="") as fh:
         fh.write("model,measure,mean,variance\n")
         for mode_name in ("ssnno", "ssnn"):
             rows = [best[k] for k in sorted(best) if k[1] == mode_name]
-            for measure in _MC_MEASURES:
+            for measure in measures:
                 values = np.array([r[6][measure] for r in rows if measure in r[6]])
                 if values.size == 0:
                     continue
@@ -336,11 +326,15 @@ def cmd_mpc(args) -> int:
     reps[-1] += args.steps - quarter * len(target_levels)
     targets = np.repeat(target_levels, reps)
 
+    q = _parse_floats(args.q) if args.q else None
+    if q is not None and len(q) != rm.order:
+        raise ValueError(f"--q has {len(q)} entries, the reduced model has order {rm.order}")
+
     ekf_cfg = ec.default_ekf_config(rm.order)
     base = ec.default_mpc_config(rm.order)
     mpc_cfg = ec.MpcConfig(
         horizon=args.horizon,
-        state_weight=np.diag(_parse_floats(args.q)) if args.q else base.state_weight,
+        state_weight=np.diag(q) if q is not None else base.state_weight,
         input_weight=np.array([[args.r]]) if args.r is not None else base.input_weight,
         u_min=np.array([args.u_min]),
         u_max=np.array([args.u_max]),

@@ -229,9 +229,60 @@ def layer_forward(layer: LayerParams, value: np.ndarray, index: int | None = Non
         raise ModelDimensionError(
             f"{where}: input has {value.shape[0]} rows, weights expect {layer.fan_in}"
         )
-    if value.ndim == 1:
-        return layer.activation.apply(layer.weights @ value + layer.bias)
-    return layer.activation.apply(layer.weights @ value + layer.bias[:, None])
+    return chain_forward((layer,), value)[-1]
+
+
+# --- layer chain: forward values, reverse and forward-mode derivatives ----------
+#
+# The three routines below are the only place a layer stack is evaluated or
+# differentiated.  They trust the layer shapes (``SsnnModel`` checks them when
+# it is built), so the public entry points validate their inputs first.
+
+
+def chain_forward(layers, value: np.ndarray) -> list[np.ndarray]:
+    """Every value along a layer stack, input first: ``[v_0, v_1, ..., v_L]``.
+
+    ``value`` is a vector or a matrix whose columns are evaluated independently.
+    """
+    values = [value]
+    for layer in layers:
+        bias = layer.bias if value.ndim == 1 else layer.bias[:, None]
+        value = layer.activation.apply(layer.weights @ value + bias)
+        values.append(value)
+    return values
+
+
+def chain_vjp(layers, values, cotangent: np.ndarray, grads=None) -> np.ndarray:
+    """Pull a cotangent on the stack's output back to its input (reverse mode).
+
+    ``values`` are the stored :func:`chain_forward` values, and ``cotangent``
+    has the shape of ``values[-1]``.  With ``grads``, a list of per-layer
+    ``(weight_grad, bias_grad)`` arrays, the parameter gradients are added to
+    those arrays in place; for a column batch they are summed over columns.
+    """
+    delta = cotangent
+    for i in reversed(range(len(layers))):
+        layer = layers[i]
+        dpre = delta * layer.activation.derivative_from_output(values[i + 1])
+        if grads is not None:
+            weight_grad, bias_grad = grads[i]
+            if dpre.ndim == 1:
+                weight_grad += np.outer(dpre, values[i])
+                bias_grad += dpre
+            else:
+                weight_grad += dpre @ values[i].T
+                bias_grad += dpre.sum(axis=1)
+        delta = layer.weights.T @ dpre
+    return delta
+
+
+def chain_jacobian(layers, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Output of the stack at a vector and its full Jacobian (forward mode)."""
+    values = chain_forward(layers, value)
+    jac = np.eye(value.shape[0])
+    for layer, out in zip(layers, values[1:]):
+        jac = layer.activation.derivative_from_output(out)[:, None] * (layer.weights @ jac)
+    return values[-1], jac
 
 
 def state_step(model: SsnnModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -242,10 +293,7 @@ def state_step(model: SsnnModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise ModelDimensionError(f"state has length {x.shape[0]}, expected {model.state_dim}")
     if u.shape[0] != model.input_dim:
         raise ModelDimensionError(f"input has length {u.shape[0]}, expected {model.input_dim}")
-    v = np.concatenate([x, u])
-    for i, layer in enumerate(model.state_layers):
-        v = layer_forward(layer, v, index=i)
-    return v
+    return chain_forward(model.state_layers, np.concatenate([x, u]))[-1]
 
 
 def output_map(model: SsnnModel, x: np.ndarray) -> np.ndarray:
@@ -253,10 +301,7 @@ def output_map(model: SsnnModel, x: np.ndarray) -> np.ndarray:
     x = _as_vector(x, "x")
     if x.shape[0] != model.state_dim:
         raise ModelDimensionError(f"state has length {x.shape[0]}, expected {model.state_dim}")
-    v = x
-    for i, layer in enumerate(model.output_layers):
-        v = layer_forward(layer, v, index=i)
-    return v
+    return chain_forward(model.output_layers, x)[-1]
 
 
 def simulate(model: SsnnModel, U: np.ndarray) -> Trajectory:

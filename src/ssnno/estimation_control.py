@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import CstrParams, SimConfig, plant_step
-from .core_model import SsnnModel, output_map, state_step
+from .core_model import SsnnModel, chain_forward, chain_jacobian, chain_vjp, output_map, state_step
 from .reduction import ReducedModel
+from .training import _two_loop
 
 
 class EstimationError(RuntimeError):
@@ -146,33 +147,14 @@ def _unwrap(model) -> SsnnModel:
     return model.model if isinstance(model, ReducedModel) else model
 
 
-def _step_with_jacobian(model: SsnnModel, x: np.ndarray, u: np.ndarray):
-    """State update together with its Jacobian wrt the stacked (x, u)."""
-    v = np.concatenate([x, u])
-    jac = np.eye(v.shape[0])
-    for layer in model.state_layers:
-        v = layer.activation.apply(layer.weights @ v + layer.bias)
-        jac = layer.activation.derivative_from_output(v)[:, None] * (layer.weights @ jac)
-    return v, jac
-
-
-def _output_with_jacobian(model: SsnnModel, x: np.ndarray):
-    v = x
-    jac = np.eye(x.shape[0])
-    for layer in model.output_layers:
-        v = layer.activation.apply(layer.weights @ v + layer.bias)
-        jac = layer.activation.derivative_from_output(v)[:, None] * (layer.weights @ jac)
-    return v, jac
-
-
 def model_jacobians(model, x: np.ndarray, u: np.ndarray):
     """Exact Jacobians (F, G_u, H) of the state update and output map."""
     net = _unwrap(model)
     s = net.state_dim
     x = np.asarray(x, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    _, jf = _step_with_jacobian(net, x, u)
-    _, jh = _output_with_jacobian(net, x)
+    _, jf = chain_jacobian(net.state_layers, np.concatenate([x, u]))
+    _, jh = chain_jacobian(net.output_layers, x)
     return jf[:, :s], jf[:, s:], jh
 
 
@@ -186,7 +168,7 @@ def ekf_step(model, state: EkfState, cfg: EkfConfig, u_applied, y_measured) -> E
     x_pred = state_step(net, state.estimate, u)
     P_pred = F @ state.covariance @ F.T + cfg.process_cov
 
-    y_pred, H = _output_with_jacobian(net, x_pred)
+    y_pred, H = chain_jacobian(net.output_layers, x_pred)
     S = H @ P_pred @ H.T + cfg.measurement_cov
     try:
         gain = np.linalg.solve(S.T, (P_pred @ H.T).T).T
@@ -223,8 +205,8 @@ def solve_steady_state(
         warnings.warn("output and input dimensions differ; solving in the least-squares sense")
 
     def residual_and_jac(x, u):
-        fx, jf = _step_with_jacobian(net, x, u)
-        gx, jh = _output_with_jacobian(net, x)
+        fx, jf = chain_jacobian(net.state_layers, np.concatenate([x, u]))
+        gx, jh = chain_jacobian(net.output_layers, x)
         r = np.concatenate([y_t - gx, x - fx])
         jac = np.zeros((p + s, s + m))
         jac[:p, :s] = -jh
@@ -290,11 +272,11 @@ class MpcSolution:
 def _mpc_cost_grad(net: SsnnModel, x0, useq, refs: ReferencePair, Q, R):
     horizon = useq.shape[1]
     xs = [np.asarray(x0, dtype=float)]
-    jacs = []
+    f_cache = []  # per-step state-layer values, kept for the adjoint sweep
     for i in range(horizon):
-        x_next, jac = _step_with_jacobian(net, xs[-1], useq[:, i])
-        xs.append(x_next)
-        jacs.append(jac)
+        values = chain_forward(net.state_layers, np.concatenate([xs[-1], useq[:, i]]))
+        xs.append(values[-1])
+        f_cache.append(values)
     s = net.state_dim
     cost = 0.0
     for i in range(1, horizon + 1):
@@ -305,8 +287,9 @@ def _mpc_cost_grad(net: SsnnModel, x0, useq, refs: ReferencePair, Q, R):
     for i in reversed(range(horizon)):
         du = useq[:, i] - refs.u_ref
         cost += float(du @ R @ du)
-        grad[:, i] = 2.0 * (R @ du) + jacs[i][:, s:].T @ lam
-        lam = jacs[i][:, :s].T @ lam
+        pulled = chain_vjp(net.state_layers, f_cache[i], lam)
+        grad[:, i] = 2.0 * (R @ du) + pulled[s:]
+        lam = pulled[:s]
         if i >= 1:
             lam = lam + 2.0 * (Q @ (xs[i] - refs.x_ref))
     return cost, grad
@@ -354,7 +337,7 @@ def mpc_solve(
                 mem.clear()
                 direction = -grad
             else:
-                direction = -_two_loop_flat(grad, mem)
+                direction = -_two_loop(grad.ravel(), mem).reshape(grad.shape)
             a = 1.0
             for _ in range(40):
                 trial = np.clip(useq + a * direction, lo, hi)
@@ -383,22 +366,6 @@ def mpc_solve(
         useq, cost, grad = trial, new_cost, new_grad
 
     return MpcSolution(sequence=useq, first_move=useq[:, 0].copy(), cost=cost, converged=converged)
-
-
-def _two_loop_flat(grad: np.ndarray, mem):
-    q = grad.ravel().copy()
-    alphas = []
-    for s, y, rho in reversed(mem):
-        a = rho * float(s @ q)
-        alphas.append(a)
-        q -= a * y
-    if mem:
-        s, y, _ = mem[-1]
-        q *= float(s @ y) / float(y @ y)
-    for (s, y, rho), a in zip(mem, reversed(alphas)):
-        b = rho * float(y @ q)
-        q += (a - b) * s
-    return q.reshape(grad.shape)
 
 
 def quarterly_targets(

@@ -67,18 +67,6 @@ class ReducedModel:
     def order(self) -> int:
         return self.model.state_dim
 
-    @property
-    def state_layers(self):
-        return self.model.state_layers
-
-    @property
-    def output_layers(self):
-        return self.model.output_layers
-
-    @property
-    def x0(self) -> np.ndarray:
-        return self.model.x0
-
 
 def classify_states(model: SsnnModel, data: Dataset, delta: float) -> SignificanceReport:
     """Count significant states (variance strictly above ``delta``) on the training window.

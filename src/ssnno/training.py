@@ -24,6 +24,8 @@ from .core_model import (
     SsnnArchitecture,
     SsnnModel,
     VarianceStats,
+    chain_forward,
+    chain_vjp,
     flatten_params,
     random_model,
     simulate,
@@ -123,37 +125,6 @@ def _check_data(arch: SsnnArchitecture, U: np.ndarray, Y: np.ndarray):
         raise ValueError("need at least 2 samples (state variance is undefined otherwise)")
 
 
-def _forward_cached(model: SsnnModel, U: np.ndarray):
-    """Forward pass keeping per-layer values for the backward sweep."""
-    d = model.state_dim
-    n = U.shape[1]
-    X = np.empty((d, n))
-    X[:, 0] = model.x0
-    f_cache = []
-    x = model.x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n - 1):
-            v = np.concatenate([x, U[:, k]])
-            values = [v]
-            for layer in model.state_layers:
-                v = layer.activation.apply(layer.weights @ v + layer.bias)
-                values.append(v)
-            if not np.isfinite(v).all():
-                raise DivergenceError(k + 1, f"non-finite state at step {k + 1}")
-            f_cache.append(values)
-            x = v
-            X[:, k + 1] = v
-        g_cache = [X]
-        V = X
-        for layer in model.output_layers:
-            V = layer.activation.apply(layer.weights @ V + layer.bias[:, None])
-            g_cache.append(V)
-        if not np.isfinite(V).all():
-            bad = int(np.flatnonzero(~np.isfinite(V).all(axis=0))[0])
-            raise DivergenceError(bad, f"non-finite output at step {bad}")
-    return X, V, f_cache, g_cache
-
-
 def _param_term(model: SsnnModel) -> float:
     return float(sum((l.weights * l.weights).sum() + (l.bias * l.bias).sum() for l in model.output_layers))
 
@@ -168,55 +139,49 @@ def _breakdown(model, X, Yhat, Y, w, alpha, beta) -> LossBreakdown:
 
 
 def _loss_and_gradient(model: SsnnModel, U, Y, w, alpha, beta, need_grad=True):
-    X, Yhat, f_cache, g_cache = _forward_cached(model, U)
+    d = model.state_dim
+    n = U.shape[1]
+    X = np.empty((d, n))
+    X[:, 0] = model.x0
+    f_cache = []  # per-step state-layer values, kept for the adjoint sweep
+    x = model.x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            values = chain_forward(model.state_layers, np.concatenate([x, U[:, k]]))
+            x = values[-1]
+            if not np.isfinite(x).all():
+                raise DivergenceError(k + 1, f"non-finite state at step {k + 1}")
+            f_cache.append(values)
+            X[:, k + 1] = x
+        g_cache = chain_forward(model.output_layers, X)
+        Yhat = g_cache[-1]
+        if not np.isfinite(Yhat).all():
+            bad = int(np.flatnonzero(~np.isfinite(Yhat).all(axis=0))[0])
+            raise DivergenceError(bad, f"non-finite output at step {bad}")
     bd = _breakdown(model, X, Yhat, Y, w, alpha, beta)
     if not need_grad:
         return bd, None
 
-    n = U.shape[1]
-    d = model.state_dim
     # direct dependence of the loss on each state column (variance path);
     # the mean-centering term cancels exactly
     centered = X - X.mean(axis=1)[:, None]
     G_X = 2.0 * alpha * (w[:, None] * centered)
 
     # output subnetwork, batched over columns
-    g_weights = [np.zeros_like(l.weights) for l in model.output_layers]
-    g_biases = [np.zeros_like(l.bias) for l in model.output_layers]
-    delta = 2.0 * (Yhat - Y)
-    for i in reversed(range(len(model.output_layers))):
-        layer = model.output_layers[i]
-        post, inp = g_cache[i + 1], g_cache[i]
-        dpre = delta * layer.activation.derivative_from_output(post)
-        g_weights[i] += dpre @ inp.T
-        g_biases[i] += dpre.sum(axis=1)
-        delta = layer.weights.T @ dpre
-    G_X += delta
-    for i, layer in enumerate(model.output_layers):
-        g_weights[i] += 2.0 * beta * layer.weights
-        g_biases[i] += 2.0 * beta * layer.bias
+    g_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.output_layers]
+    G_X += chain_vjp(model.output_layers, g_cache, 2.0 * (Yhat - Y), g_grads)
+    for (gw, gb), layer in zip(g_grads, model.output_layers):
+        gw += 2.0 * beta * layer.weights
+        gb += 2.0 * beta * layer.bias
 
     # state subnetwork: adjoint sweep through the unrolled recursion
-    f_weights = [np.zeros_like(l.weights) for l in model.state_layers]
-    f_biases = [np.zeros_like(l.bias) for l in model.state_layers]
+    f_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.state_layers]
     lam = G_X[:, n - 1].copy()
     for k in reversed(range(n - 1)):
-        values = f_cache[k]
-        delta = lam
-        for i in reversed(range(len(model.state_layers))):
-            layer = model.state_layers[i]
-            post, inp = values[i + 1], values[i]
-            dpre = delta * layer.activation.derivative_from_output(post)
-            f_weights[i] += np.outer(dpre, inp)
-            f_biases[i] += dpre
-            delta = layer.weights.T @ dpre
-        lam = G_X[:, k] + delta[:d]
+        lam = G_X[:, k] + chain_vjp(model.state_layers, f_cache[k], lam, f_grads)[:d]
 
     parts = []
-    for gw, gb in zip(f_weights, f_biases):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    for gw, gb in zip(g_weights, g_biases):
+    for gw, gb in f_grads + g_grads:
         parts.append(gw.ravel())
         parts.append(gb)
     parts.append(lam)
@@ -368,6 +333,8 @@ def _effective_terms(weights: LossWeights, config: TrainConfig) -> tuple[float, 
 
 def _make_objective(arch, U, Y, w, alpha, beta, state_acts, output_acts):
     def fg(theta):
+        if not np.isfinite(theta).all():
+            return np.inf, None, None
         model = unflatten_params(arch, theta, state_acts, output_acts)
         try:
             bd, grad = _loss_and_gradient(model, U, Y, w, alpha, beta)

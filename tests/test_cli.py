@@ -243,6 +243,18 @@ def test_mpc_rejects_full_model_file(tmp_path, best_of_five):
     assert run(["mpc", "--reduced-model", str(full_path)]) == cli.USAGE_EXIT
 
 
+def test_montecarlo_measures_follow_state_dimension(tmp_path):
+    out = tmp_path / "mc.csv"
+    assert run(["montecarlo", "--fast", "--d", "2", "--max-iter", "5", "--n-samples", "120",
+                "--split", "80", "--out", str(out)]) == 0
+    with (tmp_path / "mc_cells.csv").open() as fh:
+        header = next(csv.reader(fh))
+    assert header[6:] == ["V_x1", "V_x2", "MSE_tr", "MSE_ts"]
+    rows = list(csv.DictReader(out.open()))
+    assert {r["measure"] for r in rows} == {"V_x1", "V_x2", "MSE_tr", "MSE_ts"}
+    assert all(np.isfinite(float(r["mean"])) and np.isfinite(float(r["variance"])) for r in rows)
+
+
 # --- exit codes -----------------------------------------------------------------------
 
 
@@ -285,3 +297,14 @@ def test_unordered_model_reduce_is_numerical_failure(tmp_path):
     code = run(["reduce", "--model", str(model_path), "--data", str(data_path),
                 "--delta", "0.1", "--out", str(tmp_path / "r.json")])
     assert code == cli.NUMERIC_EXIT
+
+
+def test_mpc_state_weight_of_wrong_length_is_usage_error(tmp_path):
+    arch = s.SsnnArchitecture(2, 1, 1, (3, 2), (3, 1))
+    net = s.random_model(arch, np.random.default_rng(5))
+    rm = s.ReducedModel(model=net, delta=0.0005, residual_mean=np.zeros(1), source_order=3)
+    rm_path = tmp_path / "rm.json"
+    s.save_reduced(rm, rm_path)
+    code = run(["mpc", "--reduced-model", str(rm_path), "--q", "0.5,1.0,2.0",
+                "--steps", "4", "--out", str(tmp_path / "log.csv")])
+    assert code == cli.USAGE_EXIT

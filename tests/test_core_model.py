@@ -319,3 +319,47 @@ def test_model_rejects_broken_layer_chain():
     with pytest.raises(ModelDimensionError):
         s.SsnnModel(arch=arch, state_layers=bad_layers,
                     output_layers=good.output_layers, x0=good.x0)
+
+
+# --- layer-chain kernel ----------------------------------------------------------------
+
+
+def test_chain_forward_batch_matches_columns():
+    rng = np.random.default_rng(71)
+    arch = s.SsnnArchitecture(2, 1, 1, (4, 3, 2), (3, 1))
+    model = s.random_model(arch, rng)
+    V = rng.standard_normal((3, 6))
+    batch = s.core_model.chain_forward(model.state_layers, V)
+    assert [v.shape for v in batch] == [(3, 6), (4, 6), (3, 6), (2, 6)]
+    for k in range(V.shape[1]):
+        column = s.core_model.chain_forward(model.state_layers, V[:, k])
+        for b, c in zip(batch, column):
+            assert np.allclose(b[:, k], c, rtol=0, atol=1e-15)
+
+
+def test_chain_vjp_is_transposed_jacobian_and_accumulates_parameter_gradients():
+    rng = np.random.default_rng(73)
+    h = 1e-6
+    for _ in range(20):
+        arch = random_architecture(rng)
+        layers = s.random_model(arch, rng).state_layers
+        v = rng.standard_normal(layers[0].fan_in)
+        values = s.core_model.chain_forward(layers, v)
+        out, jac = s.core_model.chain_jacobian(layers, v)
+        assert np.array_equal(out, values[-1])
+        cot = rng.standard_normal(out.shape[0])
+        grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
+        pulled = s.core_model.chain_vjp(layers, values, cot, grads)
+        assert np.allclose(pulled, jac.T @ cot, rtol=1e-12, atol=1e-14)
+        # weight gradient of cot . f against central differences, first layer
+        first = layers[0]
+
+        def f_of(w):
+            stack = (s.LayerParams(w, first.bias, first.activation),) + layers[1:]
+            return cot @ s.core_model.chain_forward(stack, v)[-1]
+
+        for idx in np.ndindex(first.weights.shape):
+            e = np.zeros_like(first.weights)
+            e[idx] = h
+            fd = (f_of(first.weights + e) - f_of(first.weights - e)) / (2 * h)
+            assert grads[0][0][idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)

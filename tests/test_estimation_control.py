@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssnno as s
 import ssnno.estimation_control as ec
@@ -308,3 +309,32 @@ def test_quarterly_target_schedule_shape():
     assert t.shape == (100,)
     assert np.allclose(np.unique(t), [0.4, 0.5, 0.6, 0.7], atol=1e-12)
     assert t[0] == 0.7 and t[24] == 0.7 and t[25] == pytest.approx(0.6) and t[-1] == pytest.approx(0.4)
+
+
+# --- MPC shooting gradient ----------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(3, 7),
+       hidden=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_mpc_cost_gradient_matches_central_differences(seed, horizon, hidden):
+    rng = np.random.default_rng(seed)
+    d, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    arch = s.SsnnArchitecture(d, m, 1, tuple(hidden) + (d,), (2, 1))
+    net = s.random_model(arch, rng, init_scale=0.8)
+    A = rng.standard_normal((d, d))
+    Q = A @ A.T
+    R = np.diag(rng.uniform(0.1, 1.0, m))
+    refs = ec.ReferencePair(x_ref=rng.standard_normal(d), u_ref=rng.uniform(-1, 0, m),
+                            target=np.zeros(1), residual_norm=0.0)
+    x0 = rng.standard_normal(d)
+    useq = rng.uniform(-1, 0, (m, horizon))
+    cost, grad = ec._mpc_cost_grad(net, x0, useq, refs, Q, R)
+    h = 1e-6
+    fd = np.empty_like(useq)
+    for idx in np.ndindex(useq.shape):
+        e = np.zeros_like(useq)
+        e[idx] = h
+        fd[idx] = (ec._mpc_cost_grad(net, x0, useq + e, refs, Q, R)[0]
+                   - ec._mpc_cost_grad(net, x0, useq - e, refs, Q, R)[0]) / (2 * h)
+    assert np.abs(grad - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())

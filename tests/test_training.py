@@ -304,3 +304,15 @@ def test_history_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iteration,total,spe,variance_term,param_term,grad_norm"
     assert len(lines) == len(report.loss_history) + 1
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_objective_treats_non_finite_parameters_as_divergent(bad):
+    rng = np.random.default_rng(67)
+    arch = s.SsnnArchitecture(2, 1, 1, (3, 2), (2, 1))
+    U, Y = rng.uniform(-1, 1, (1, 12)), rng.standard_normal((1, 12))
+    fg = s.training._make_objective(arch, U, Y, np.array([1.0, 2.0]), 0.1, 0.1, None, None)
+    theta = s.flatten_params(s.random_model(arch, rng))
+    assert np.isfinite(fg(theta)[0])
+    theta[3] = bad
+    assert fg(theta) == (np.inf, None, None)
