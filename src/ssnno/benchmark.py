@@ -223,15 +223,28 @@ def dataset_to_csv(ds: Dataset, path: str | Path) -> None:
 
 
 def dataset_from_csv(path: str | Path) -> Dataset:
+    """Read a :func:`dataset_to_csv` file; ``ValueError`` naming the file if it is malformed."""
     path = Path(path)
-    ks, us, ys, splits = [], [], [], []
     with path.open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            ks.append(int(row["k"]))
-            us.append(float(row["u"]))
-            ys.append(float(row["y"]))
-            splits.append(row["split"])
-    split_index = sum(1 for s in splits if s == "train")
+        reader = csv.DictReader(fh, restval="")
+        rows = list(reader)
+    missing = [c for c in ("k", "u", "y", "split") if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{path}: missing column {', '.join(missing)}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    if [int(row["k"]) for row in rows] != list(range(len(rows))):
+        raise ValueError(f"{path}: column k must count 0..{len(rows) - 1} in order")
+    splits = [row["split"] for row in rows]
+    if not set(splits) <= {"train", "test"}:
+        raise ValueError(f"{path}: split must be train or test")
+    split_index = splits.count("train")
+    if "test" in splits[:split_index]:
+        raise ValueError(f"{path}: a train row follows a test row")
+    us = [float(row["u"]) for row in rows]
+    ys = [float(row["y"]) for row in rows]
+    if not np.isfinite(us + ys).all():
+        raise ValueError(f"{path}: u and y must be finite")
     meta = {}
     side = sidecar_path(path)
     if side.exists():

@@ -36,6 +36,9 @@ from .reduction import VarianceOrderingError
 USAGE_EXIT = 1
 NUMERIC_EXIT = 2
 
+# input level changes in each Monte Carlo training window
+MC_LEVEL_CHANGES = 45
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -84,11 +87,11 @@ def _build_arch(d: int, p: int, state_hidden: str, output_hidden: str) -> SsnnAr
 
 
 def _load_any_model(path: Path):
-    """Full or reduced model file; returns (network, kind)."""
+    """The network in a full or reduced model file."""
     doc = json.loads(Path(path).read_text())
     if doc.get("version") == reduction.REDUCED_SCHEMA_VERSION:
-        return reduction.reduced_from_dict(doc).model, "reduced"
-    return model_from_dict(doc), "full"
+        return reduction.reduced_from_dict(doc).model
+    return model_from_dict(doc)
 
 
 def _metrics(net, data: benchmark.Dataset) -> dict[str, float]:
@@ -223,7 +226,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_evaluate(args) -> int:
     started = time.time()
-    net, kind = _load_any_model(Path(args.model))
+    net = _load_any_model(Path(args.model))
     data = benchmark.dataset_from_csv(Path(args.data))
     out = Path(args.out) if args.out else _out_dir() / "metrics.csv"
     metrics = _metrics(net, data)
@@ -242,7 +245,9 @@ def _mc_cell(cell_args):
     """One Monte Carlo cell: dataset at a noise level, one mode, one seed."""
     (level_idx, noise_std, mode_name, seed, base_seed, d, max_iter, n_samples, split) = cell_args
     dataset_seed = base_seed + level_idx
-    U = benchmark.generate_input(seed=dataset_seed, n_samples=n_samples, train_window=split)
+    U = benchmark.generate_input(
+        seed=dataset_seed, n_samples=n_samples, n_steps=MC_LEVEL_CHANGES, train_window=split
+    )
     sim = benchmark.SimConfig(horizon=n_samples, noise_std=noise_std, seed=dataset_seed)
     data = benchmark.generate_dataset(benchmark.CstrParams(), sim, U, split_index=split)
     arch = _build_arch(d, 1, "3", "3")
@@ -267,6 +272,11 @@ def cmd_montecarlo(args) -> int:
     else:
         levels = _parse_floats(args.noise_levels)
         n_seeds = args.seeds
+    if not MC_LEVEL_CHANGES < args.split <= args.n_samples:
+        raise ValueError(
+            f"--split {args.split} must be in {MC_LEVEL_CHANGES + 1}..{args.n_samples} (--n-samples): "
+            f"each training window holds {MC_LEVEL_CHANGES} input level changes"
+        )
     cells = [
         (i, lvl, mode, seed, args.seed, args.d, args.max_iter, args.n_samples, args.split)
         for i, lvl in enumerate(levels)
@@ -313,18 +323,11 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_mpc(args) -> int:
     started = time.time()
-    doc = json.loads(Path(args.reduced_model).read_text())
-    if doc.get("version") != reduction.REDUCED_SCHEMA_VERSION:
-        raise ValueError("mpc expects a reduced model file; run the reduce command first")
-    rm = reduction.reduced_from_dict(doc)
+    rm = reduction.load_reduced(Path(args.reduced_model))
     out = Path(args.out) if args.out else _out_dir() / "mpc_log.csv"
     full_model = load_model(Path(args.full_model)) if args.full_model else None
 
-    target_levels = _parse_floats(args.targets)
-    quarter = args.steps // len(target_levels)
-    reps = [quarter] * len(target_levels)
-    reps[-1] += args.steps - quarter * len(target_levels)
-    targets = np.repeat(target_levels, reps)
+    targets = ec.hold_levels(_parse_floats(args.targets), args.steps)
 
     q = _parse_floats(args.q) if args.q else None
     if q is not None and len(q) != rm.order:

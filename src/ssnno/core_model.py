@@ -9,7 +9,7 @@ layers use tanh, the last layer of each subnetwork is linear.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -75,7 +75,8 @@ class LayerParams:
     activation: ActivationKind
 
     def __post_init__(self):
-        w = _as_matrix(self.weights, "weights")
+        # C order keeps BLAS summing in one order however the array was sliced
+        w = np.ascontiguousarray(_as_matrix(self.weights, "weights"))
         b = _as_vector(self.bias, "bias")
         if w.shape[0] != b.shape[0]:
             raise ModelDimensionError(
@@ -371,6 +372,46 @@ def is_variance_ordered(stats: VarianceStats, slack: float = 0.0) -> bool:
         raise ValueError("slack must be non-negative")
     v = stats.variances
     return bool(np.all(v[:-1] >= v[1:] - slack))
+
+
+# --- state selection ---------------------------------------------------------------
+
+
+def select_states(model: SsnnModel, keep, frozen=None) -> SsnnModel:
+    """The model whose states are ``x[keep]``, every other state held at ``frozen``.
+
+    ``keep`` lists distinct state indices in their new order; ``frozen`` holds
+    the left-out states in increasing index order (omit it for a permutation).
+    The parameters that touch the states are the state columns of the first
+    state and first output layers, where held states fold into the biases,
+    the rows of the last state layer, and ``x0``.  Activations act elementwise,
+    so row selection is exact for any last-layer activation: a permutation
+    keeps the input-output map, and holding states keeps it while they stay
+    at ``frozen``.
+    """
+    d, m = model.state_dim, model.input_dim
+    keep = np.asarray(keep, dtype=int)
+    held = np.setdiff1d(np.arange(d), keep)
+    if keep.ndim != 1 or keep.size + held.size != d:
+        raise ValueError(f"keep must list distinct state indices in 0..{d - 1}, got {keep}")
+    frozen = np.zeros(0) if frozen is None else _as_vector(frozen, "frozen")
+    if frozen.shape[0] != held.size:
+        raise ValueError(f"frozen has {frozen.shape[0]} values for {held.size} held states")
+
+    def fold(layer: LayerParams, columns: np.ndarray) -> LayerParams:
+        bias = layer.bias
+        if held.size:  # a C-ordered copy sums as a plain slice of the weights does
+            bias = bias + np.ascontiguousarray(layer.weights[:, held]) @ frozen
+        return LayerParams(layer.weights[:, columns], bias, layer.activation)
+
+    state_layers = list(model.state_layers)
+    state_layers[0] = fold(state_layers[0], np.concatenate([keep, np.arange(d, d + m)]))
+    last = state_layers[-1]
+    state_layers[-1] = LayerParams(last.weights[keep, :], last.bias[keep], last.activation)
+    output_layers = (fold(model.output_layers[0], keep),) + model.output_layers[1:]
+    widths = model.arch.state_layer_widths[:-1] + (keep.size,)
+    arch = replace(model.arch, state_dim=keep.size, state_layer_widths=widths)
+    return SsnnModel(arch, tuple(state_layers), output_layers, model.x0[keep])
 
 
 # --- parameter vector packing -------------------------------------------------

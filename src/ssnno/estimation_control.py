@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -164,8 +165,8 @@ def ekf_step(model, state: EkfState, cfg: EkfConfig, u_applied, y_measured) -> E
     u = np.atleast_1d(np.asarray(u_applied, dtype=float))
     y = np.atleast_1d(np.asarray(y_measured, dtype=float))
 
-    F, _, _ = model_jacobians(net, state.estimate, u)
-    x_pred = state_step(net, state.estimate, u)
+    x_pred, jf = chain_jacobian(net.state_layers, np.concatenate([state.estimate, u]))
+    F = jf[:, : net.state_dim]
     P_pred = F @ state.covariance @ F.T + cfg.process_cov
 
     y_pred, H = chain_jacobian(net.output_layers, x_pred)
@@ -323,7 +324,7 @@ def mpc_solve(
     Q, R = cfg.state_weight, cfg.input_weight
 
     cost, grad = _mpc_cost_grad(net, x_hat, useq, refs, Q, R)
-    mem: list[tuple[np.ndarray, np.ndarray, float]] = []
+    mem: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=10)
     converged = False
     for _ in range(max_iterations):
         projected_residual = useq - np.clip(useq - grad, lo, hi)
@@ -361,22 +362,34 @@ def mpc_solve(
         sy = float(s_vec @ y_vec)
         if sy > 1e-12:
             mem.append((s_vec, y_vec, 1.0 / sy))
-            if len(mem) > 10:
-                mem.pop(0)
         useq, cost, grad = trial, new_cost, new_grad
 
     return MpcSolution(sequence=useq, first_move=useq[:, 0].copy(), cost=cost, converged=converged)
+
+
+def hold_levels(levels, n_steps: int) -> np.ndarray:
+    """Piecewise-constant schedule holding each level for ``n_steps // len(levels)`` steps.
+
+    The last level also takes the remainder.  Raises ``ValueError`` for an
+    empty level list or for fewer steps than levels.
+    """
+    levels = np.asarray(levels, dtype=float)
+    n_levels = levels.shape[0]
+    if n_levels < 1:
+        raise ValueError("need at least one target level")
+    if n_steps < n_levels:
+        raise ValueError(f"{n_levels} target levels need at least {n_levels} steps, got {n_steps}")
+    hold = n_steps // n_levels
+    reps = [hold] * n_levels
+    reps[-1] += n_steps - hold * n_levels
+    return np.repeat(levels, reps)
 
 
 def quarterly_targets(
     n_steps: int = 100, start: float = 0.7, decrement: float = 0.1, n_quarters: int = 4
 ) -> np.ndarray:
     """Piecewise-constant target: start for the first quarter, stepped down per quarter."""
-    quarter = n_steps // n_quarters
-    levels = start - decrement * np.arange(n_quarters)
-    reps = [quarter] * n_quarters
-    reps[-1] += n_steps - quarter * n_quarters
-    return np.repeat(levels, reps)
+    return hold_levels(start - decrement * np.arange(n_quarters), n_steps)
 
 
 @dataclass
@@ -393,6 +406,11 @@ class ClosedLoopLog:
     @property
     def n_steps(self) -> int:
         return self.targets.shape[0]
+
+    def head(self, k: int) -> "ClosedLoopLog":
+        """The log of the first ``k`` steps."""
+        columns = {f.name: getattr(self, f.name) for f in fields(self)}
+        return ClosedLoopLog(**{name: None if v is None else v[..., :k] for name, v in columns.items()})
 
     def to_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="") as fh:
@@ -455,18 +473,6 @@ def closed_loop_run(
         y_full=np.empty(n) if full_model is not None else None,
     )
 
-    def partial(k):
-        return ClosedLoopLog(
-            targets=targets[:k],
-            y_measured=log.y_measured[:k],
-            y_true=log.y_true[:k],
-            y_model=log.y_model[:k],
-            u=log.u[:, :k],
-            x_hat=log.x_hat[:, :k],
-            mpc_cost=log.mpc_cost[:k],
-            y_full=None if log.y_full is None else log.y_full[:k],
-        )
-
     x_plant = np.asarray(sim.x0, dtype=float)
     x_full = full_model.x0 if full_model is not None else None
     ekf = EkfState(estimate=np.zeros(s), covariance=ekf_cfg.initial_cov)
@@ -503,6 +509,6 @@ def closed_loop_run(
             warm = np.hstack([sol.sequence[:, 1:], sol.sequence[:, -1:]])
             u_prev = u_k
         except Exception as exc:
-            raise ClosedLoopError(k, f"closed loop failed at step {k}: {exc}", partial(k)) from exc
+            raise ClosedLoopError(k, f"closed loop failed at step {k}: {exc}", log.head(k)) from exc
 
     return log

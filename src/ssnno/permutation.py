@@ -1,12 +1,9 @@
 """State-order permutations that preserve the input-output map.
 
-Reordering the states of a layered state-space network only touches the
-state columns of the first state layer, the rows and bias of the last state
-layer, the state columns of the first output layer, and the initial state;
-every other parameter is untouched.  Because each layer applies one
-activation elementwise, permuting the last layer's rows realizes the
-permuted activation exactly, so the permuted network reproduces the original
-outputs and carries permuted states.
+A permutation keeps every state in a new order.
+:func:`core_model.select_states` edits the parameters that touch the state
+coordinates, so the permuted network reproduces the original outputs and
+carries permuted states.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import LayerParams, SsnnModel, VarianceStats
+from .core_model import SsnnModel, VarianceStats, select_states
 
 
 @dataclass(frozen=True)
@@ -53,36 +50,9 @@ def variance_sort_index(stats: VarianceStats) -> PermutationIndex:
 
 def permute_model(model: SsnnModel, index: PermutationIndex) -> SsnnModel:
     """Equivalent model with states reordered as ``x_new[i] = x_old[z[i]]``."""
-    z = index.z
-    d = model.state_dim
-    if index.dim != d:
-        raise ValueError(f"permutation has dimension {index.dim}, model has {d} states")
-
-    state_layers = list(model.state_layers)
-    last = len(state_layers) - 1
-
-    first = state_layers[0]
-    w = first.weights.copy()
-    w[:, :d] = first.weights[:, z]
-    state_layers[0] = LayerParams(weights=w, bias=first.bias, activation=first.activation)
-
-    tail = state_layers[last]
-    state_layers[last] = LayerParams(
-        weights=tail.weights[z, :], bias=tail.bias[z], activation=tail.activation
-    )
-
-    output_layers = list(model.output_layers)
-    head = output_layers[0]
-    output_layers[0] = LayerParams(
-        weights=head.weights[:, z], bias=head.bias, activation=head.activation
-    )
-
-    return SsnnModel(
-        arch=model.arch,
-        state_layers=tuple(state_layers),
-        output_layers=tuple(output_layers),
-        x0=model.x0[z],
-    )
+    if index.dim != model.state_dim:
+        raise ValueError(f"permutation has dimension {index.dim}, model has {model.state_dim} states")
+    return select_states(model, index.z)
 
 
 def permuted_loss_check(model: SsnnModel, data, weights, index: PermutationIndex):

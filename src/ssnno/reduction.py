@@ -1,9 +1,8 @@
 """Order reduction by freezing low-variance states at their training mean.
 
 States whose sample variance stays at or below a threshold barely move over
-the training data, so they are replaced by their mean and folded into the
-biases of the first layer of each subnetwork.  Only those first layers and
-the rows of the last state layer change; no retraining happens.
+the training data, so :func:`core_model.select_states` holds them at their
+mean and keeps the leading states; no retraining happens.
 """
 
 from __future__ import annotations
@@ -17,13 +16,12 @@ import numpy as np
 from .benchmark import Dataset
 from .core_model import (
     MODEL_SCHEMA_VERSION,
-    LayerParams,
-    SsnnArchitecture,
     SsnnModel,
     Trajectory,
     is_variance_ordered,
     model_from_dict,
     model_to_dict,
+    select_states,
     simulate,
     variance_stats,
 )
@@ -94,49 +92,16 @@ def classify_states(model: SsnnModel, data: Dataset, delta: float) -> Significan
 
 def reduce(model: SsnnModel, report: SignificanceReport) -> ReducedModel:
     """Build the order-s model; exact whenever the residual states are constant."""
-    d, m = model.state_dim, model.input_dim
+    d = model.state_dim
     s = report.significant_count
     if report.variances.shape[0] != d:
         raise ValueError("report does not match the model order")
     if s < 1:
         raise ValueError("threshold removes every state; lower delta")
-    xr = report.residual_mean
-
-    state_layers = list(model.state_layers)
-    last = len(state_layers) - 1
-
-    first = state_layers[0]
-    kept = np.hstack([first.weights[:, :s], first.weights[:, d:]])  # significant + input columns
-    bias = first.bias + first.weights[:, s:d] @ xr
-    state_layers[0] = LayerParams(weights=kept, bias=bias, activation=first.activation)
-
-    tail = state_layers[last]
-    state_layers[last] = LayerParams(
-        weights=tail.weights[:s, :], bias=tail.bias[:s], activation=tail.activation
+    reduced = select_states(model, np.arange(s), report.residual_mean)
+    return ReducedModel(
+        model=reduced, delta=report.delta, residual_mean=report.residual_mean, source_order=d
     )
-
-    output_layers = list(model.output_layers)
-    head = output_layers[0]
-    output_layers[0] = LayerParams(
-        weights=head.weights[:, :s],
-        bias=head.bias + head.weights[:, s:] @ xr,
-        activation=head.activation,
-    )
-
-    arch = SsnnArchitecture(
-        state_dim=s,
-        input_dim=m,
-        output_dim=model.output_dim,
-        state_layer_widths=model.arch.state_layer_widths[:-1] + (s,),
-        output_layer_widths=model.arch.output_layer_widths,
-    )
-    reduced = SsnnModel(
-        arch=arch,
-        state_layers=tuple(state_layers),
-        output_layers=tuple(output_layers),
-        x0=model.x0[:s],
-    )
-    return ReducedModel(model=reduced, delta=report.delta, residual_mean=xr, source_order=d)
 
 
 def reduced_simulate(rm: ReducedModel, U: np.ndarray) -> Trajectory:
@@ -161,7 +126,10 @@ def reduced_to_dict(rm: ReducedModel) -> dict:
 
 def reduced_from_dict(doc: dict) -> ReducedModel:
     if doc.get("version") != REDUCED_SCHEMA_VERSION:
-        raise ValueError(f"unsupported reduced-model document version: {doc.get('version')!r}")
+        raise ValueError(
+            f"unsupported reduced-model document version: {doc.get('version')!r}; "
+            "run the reduce command first"
+        )
     inner = dict(doc)
     inner["version"] = MODEL_SCHEMA_VERSION
     info = doc["reduction"]

@@ -12,6 +12,7 @@ non-increasing state variances.
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -114,7 +115,7 @@ class TrainReport:
 # --- loss and exact gradient ---------------------------------------------------
 
 
-def _check_data(arch: SsnnArchitecture, U: np.ndarray, Y: np.ndarray):
+def _check_data(arch: SsnnArchitecture, U: np.ndarray, Y: np.ndarray, weights: LossWeights):
     if U.shape[0] != arch.input_dim:
         raise ValueError(f"U has {U.shape[0]} rows, model expects {arch.input_dim}")
     if Y.shape[0] != arch.output_dim:
@@ -123,6 +124,8 @@ def _check_data(arch: SsnnArchitecture, U: np.ndarray, Y: np.ndarray):
         raise ValueError("U and Y must have the same number of columns")
     if U.shape[1] < 2:
         raise ValueError("need at least 2 samples (state variance is undefined otherwise)")
+    if weights.w.shape[0] != arch.state_dim:
+        raise ValueError("variance weights do not match the state dimension")
 
 
 def _param_term(model: SsnnModel) -> float:
@@ -191,9 +194,7 @@ def _loss_and_gradient(model: SsnnModel, U, Y, w, alpha, beta, need_grad=True):
 def loss(model: SsnnModel, data: Dataset, weights: LossWeights) -> LossBreakdown:
     """Training-window loss breakdown (total, prediction, variance, parameter terms)."""
     U, Y = data.U_train, data.Y_train
-    _check_data(model.arch, U, Y)
-    if weights.w.shape[0] != model.state_dim:
-        raise ValueError("variance weights do not match the state dimension")
+    _check_data(model.arch, U, Y, weights)
     bd, _ = _loss_and_gradient(model, U, Y, weights.w, weights.alpha, weights.beta, need_grad=False)
     return bd
 
@@ -201,9 +202,7 @@ def loss(model: SsnnModel, data: Dataset, weights: LossWeights) -> LossBreakdown
 def loss_gradient(model: SsnnModel, data: Dataset, weights: LossWeights) -> np.ndarray:
     """Exact gradient of the total loss with respect to the flat parameter vector."""
     U, Y = data.U_train, data.Y_train
-    _check_data(model.arch, U, Y)
-    if weights.w.shape[0] != model.state_dim:
-        raise ValueError("variance weights do not match the state dimension")
+    _check_data(model.arch, U, Y, weights)
     _, grad = _loss_and_gradient(model, U, Y, weights.w, weights.alpha, weights.beta)
     return grad
 
@@ -238,7 +237,7 @@ def _minimize(fg, theta0, config: TrainConfig):
         raise DivergenceError(0, "initial parameters produce a divergent simulation")
     history = [bd]
     grad_norms = [float(np.linalg.norm(g))]
-    mem: list[tuple[np.ndarray, np.ndarray, float]] = []
+    mem: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=config.lbfgs_memory)
     converged = False
     iterations = 0
 
@@ -263,8 +262,6 @@ def _minimize(fg, theta0, config: TrainConfig):
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             mem.append((s, y, 1.0 / sy))
-            if len(mem) > config.lbfgs_memory:
-                mem.pop(0)
         theta = theta + s
         f, bd, g = f_new, bd_new, g_new
         history.append(bd)
@@ -361,9 +358,7 @@ def train(
     (and from the recorded history, so the history total stays monotone).
     """
     U, Y = data.U_train, data.Y_train
-    _check_data(arch, U, Y)
-    if weights.w.shape[0] != arch.state_dim:
-        raise ValueError("variance weights do not match the state dimension")
+    _check_data(arch, U, Y, weights)
     if initial is None:
         initial = random_model(arch, np.random.default_rng(config.seed), config.init_scale)
     elif initial.arch != arch:
@@ -417,8 +412,7 @@ def repair_variance_ordering(
 
     passes = 1
     while True:
-        stats = variance_stats(simulate(report.model, U).states)
-        z = _perm.variance_sort_index(stats)
+        z = _perm.variance_sort_index(report.stats)
         permuted = _perm.permute_model(report.model, z)
         j_hat = history[-1].total
         f_til, bd_til, g_til = fg(flatten_params(permuted))

@@ -169,3 +169,21 @@ def test_dataset_validation():
         s.Dataset(U=np.zeros((1, 5)), Y=np.zeros((1, 4)), split_index=3)
     with pytest.raises(ValueError):
         s.Dataset(U=np.zeros((1, 5)), Y=np.zeros((1, 5)), split_index=9)
+
+
+@pytest.mark.parametrize("header, rows, complaint", [
+    ("k,u,split", ["0,-0.1,train", "1,-0.2,test"], "missing column y"),
+    ("k,u,y,split", [], "no data rows"),
+    ("k,u,y,split", ["0,-0.1,0.2,train", "1,-0.2,0.3,train", "2,-0.3,0.4,train", "5,0,0,test"], "column k"),
+    ("k,u,y,split", ["1,-0.1,0.2,train", "2,-0.2,0.3,test"], "column k"),
+    ("k,u,y,split", ["0,-0.1,0.2,train", "1,-0.2,0.3,validate"], "train or test"),
+    ("k,u,y,split", ["0,-0.1,0.2,test", "1,-0.2,0.3,train", "2,-0.3,0.4,train"], "train row follows"),
+    ("k,u,y,split", ["0,-0.1,nan,train", "1,-0.2,0.3,test"], "finite"),
+])
+def test_malformed_dataset_csv_is_rejected_naming_the_file(tmp_path, header, rows, complaint):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ValueError, match=complaint) as err:
+        dataset_from_csv(path)
+    assert str(path) in str(err.value)
+

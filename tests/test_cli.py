@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,3 +309,35 @@ def test_mpc_state_weight_of_wrong_length_is_usage_error(tmp_path):
     code = run(["mpc", "--reduced-model", str(rm_path), "--q", "0.5,1.0,2.0",
                 "--steps", "4", "--out", str(tmp_path / "log.csv")])
     assert code == cli.USAGE_EXIT
+
+
+def test_mpc_empty_target_list_is_usage_error(tmp_path):
+    rm_path = Path(__file__).parents[1] / "benchmarks" / "fixture" / "reduced_model.json"
+    code = run(["mpc", "--reduced-model", str(rm_path), "--targets", "",
+                "--steps", "4", "--out", str(tmp_path / "log.csv")])
+    assert code == cli.USAGE_EXIT
+
+
+def test_mpc_fewer_steps_than_target_levels_is_usage_error(tmp_path, capsys):
+    rm_path = Path(__file__).parents[1] / "benchmarks" / "fixture" / "reduced_model.json"
+    code = run(["mpc", "--reduced-model", str(rm_path), "--targets", "0.5,0.6,0.7",
+                "--steps", "2", "--out", str(tmp_path / "log.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "3 target levels" in capsys.readouterr().err
+
+
+def test_evaluate_dataset_without_output_column_is_usage_error(quick_model_dir, tmp_path, capsys):
+    data = tmp_path / "no_y.csv"
+    data.write_text("k,u,split\n0,-0.1,train\n1,-0.2,test\n")
+    code = run(["evaluate", "--model", str(quick_model_dir / "model.json"),
+                "--data", str(data), "--out", str(tmp_path / "m.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "missing column y" in capsys.readouterr().err
+
+
+def test_montecarlo_split_below_level_changes_names_the_flag(tmp_path, capsys):
+    code = run(["montecarlo", "--fast", "--n-samples", "60", "--split", "40",
+                "--out", str(tmp_path / "mc.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "--split" in capsys.readouterr().err
+    assert not (tmp_path / "mc_cells.csv").exists()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssnno as s
 from ssnno.core_model import ModelDimensionError
@@ -363,3 +364,44 @@ def test_chain_vjp_is_transposed_jacobian_and_accumulates_parameter_gradients():
             e[idx] = h
             fd = (f_of(first.weights + e) - f_of(first.weights - e)) / (2 * h)
             assert grads[0][0][idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+# --- state selection ------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 4), max_size=2),
+       tanh_last=st.booleans())
+def test_select_states_matches_full_model_with_held_states(seed, hidden, tanh_last):
+    rng = np.random.default_rng(seed)
+    d, m, p = int(rng.integers(1, 5)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    arch = s.SsnnArchitecture(d, m, p, tuple(hidden) + (d,), (3, p))
+    acts = s.core_model.default_activations(len(arch.state_layer_widths))
+    if tanh_last:
+        acts = acts[:-1] + (s.ActivationKind.TANH,)
+    theta = rng.uniform(-1.0, 1.0, arch.n_params)
+    model = s.unflatten_params(arch, theta, state_activations=acts)
+    keep = rng.permutation(d)[: int(rng.integers(1, d + 1))]
+    held = np.setdiff1d(np.arange(d), keep)
+    frozen = rng.standard_normal(held.size)
+    sel = s.core_model.select_states(model, keep, frozen)
+    assert sel.state_dim == keep.size
+
+    x, u = rng.standard_normal(keep.size), rng.standard_normal(m)
+    x_full = np.empty(d)
+    x_full[keep] = x
+    x_full[held] = frozen
+    assert np.allclose(s.state_step(sel, x, u), s.state_step(model, x_full, u)[keep], rtol=0, atol=1e-12)
+    assert np.allclose(s.output_map(sel, x), s.output_map(model, x_full), rtol=0, atol=1e-12)
+    assert np.array_equal(sel.x0, model.x0[keep])
+
+
+def test_select_states_rejects_bad_keep_and_frozen():
+    model = s.random_model(s.SsnnArchitecture(3, 1, 1, (2, 3), (1,)), np.random.default_rng(2))
+    for keep in ([0, 0, 1], [0, 3], [[0, 1, 2]]):
+        with pytest.raises(ValueError, match="keep"):
+            s.core_model.select_states(model, keep)
+    with pytest.raises(ValueError, match="frozen"):
+        s.core_model.select_states(model, [0, 1])
+    with pytest.raises(ValueError, match="frozen"):
+        s.core_model.select_states(model, [2, 1, 0], [0.5])

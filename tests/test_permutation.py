@@ -168,3 +168,15 @@ def test_permuted_loss_dominance_random_sweep():
         assert permuted.variance_term <= original.variance_term + 1e-12
         assert permuted.total <= original.total + 1e-9 * max(1.0, original.total)
         checked += 1
+
+
+def test_permuted_model_evaluates_like_its_saved_copy():
+    # sliced weights are stored C-ordered, so BLAS sums them as it does a loaded model's
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        arch = random_architecture(rng)
+        model = s.random_model(arch, rng, init_scale=1.0)
+        permuted = s.permute_model(model, random_permutation(rng, arch.state_dim))
+        reloaded = s.core_model.model_from_dict(s.core_model.model_to_dict(permuted))
+        U = rng.standard_normal((arch.input_dim, 9))
+        assert np.array_equal(s.simulate(permuted, U).outputs, s.simulate(reloaded, U).outputs)
