@@ -21,6 +21,7 @@ from .core_model import (
     load_model,
     output_map,
     random_model,
+    rollout,
     save_model,
     simulate,
     state_step,

@@ -95,19 +95,19 @@ class Dataset:
         return self.Y[:, self.split_index:]
 
 
+def _cstr_rates(x1: float, x2: float, u: float, params: CstrParams) -> tuple[float, float]:
+    """The two CSTR state derivatives on Python floats (see :func:`cstr_derivative`)."""
+    reaction = params.Da * (1.0 - x1) * float(np.exp(x2))
+    return -x1 + reaction, -x2 + params.B * reaction - params.Db * (x2 - u)
+
+
 def cstr_derivative(x: np.ndarray, u: float, params: CstrParams = CstrParams()) -> np.ndarray:
     """Continuous-time state derivative of the CSTR.
 
     ``dx1 = -x1 + Da (1 - x1) exp(x2)``
     ``dx2 = -x2 + B Da (1 - x1) exp(x2) - Db (x2 - u)``
     """
-    x1, x2 = float(x[0]), float(x[1])
-    u = float(u)
-    reaction = params.Da * (1.0 - x1) * np.exp(x2)
-    return np.array([
-        -x1 + reaction,
-        -x2 + params.B * reaction - params.Db * (x2 - u),
-    ])
+    return np.array(_cstr_rates(float(x[0]), float(x[1]), float(u), params))
 
 
 def plant_step(
@@ -119,18 +119,22 @@ def plant_step(
 ) -> np.ndarray:
     """Advance the plant by one sampling period with the input held constant.
 
-    Fixed-step RK4 with ``substeps`` stages over the period.
+    Fixed-step RK4 with ``substeps`` stages over the period, on Python floats
+    (two states are too few for array arithmetic to pay for its dispatch).
     """
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
     h = dt / substeps
-    x = np.asarray(x, dtype=float)
+    x1, x2 = (float(v) for v in np.asarray(x, dtype=float))
+    u = float(u)
     for _ in range(substeps):
-        k1 = cstr_derivative(x, u, params)
-        k2 = cstr_derivative(x + 0.5 * h * k1, u, params)
-        k3 = cstr_derivative(x + 0.5 * h * k2, u, params)
-        k4 = cstr_derivative(x + h * k3, u, params)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1a, k1b = _cstr_rates(x1, x2, u, params)
+        k2a, k2b = _cstr_rates(x1 + 0.5 * h * k1a, x2 + 0.5 * h * k1b, u, params)
+        k3a, k3b = _cstr_rates(x1 + 0.5 * h * k2a, x2 + 0.5 * h * k2b, u, params)
+        k4a, k4b = _cstr_rates(x1 + h * k3a, x2 + h * k3b, u, params)
+        x1 = x1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        x2 = x2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+    x = np.array([x1, x2])
     if not np.isfinite(x).all():
         raise DivergenceError(0, "plant state diverged within one sampling period")
     return x

@@ -162,6 +162,8 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.time()
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     data = benchmark.dataset_from_csv(Path(args.data))
     out = Path(args.out) if args.out else _out_dir() / "model.json"
     arch = _build_arch(args.d, data.Y.shape[0], args.state_hidden, args.output_hidden)
@@ -272,6 +274,10 @@ def cmd_montecarlo(args) -> int:
     else:
         levels = _parse_floats(args.noise_levels)
         n_seeds = args.seeds
+        if not levels:
+            raise ValueError("--noise-levels lists no noise level")
+        if n_seeds < 1:
+            raise ValueError(f"--seeds must be at least 1, got {n_seeds}")
     if not MC_LEVEL_CHANGES < args.split <= args.n_samples:
         raise ValueError(
             f"--split {args.split} must be in {MC_LEVEL_CHANGES + 1}..{args.n_samples} (--n-samples): "

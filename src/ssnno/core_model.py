@@ -277,12 +277,18 @@ def chain_vjp(layers, values, cotangent: np.ndarray, grads=None) -> np.ndarray:
     return delta
 
 
-def chain_jacobian(layers, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Output of the stack at a vector and its full Jacobian (forward mode)."""
-    values = chain_forward(layers, value)
+def chain_jacobian(layers, value: np.ndarray, values=None) -> tuple[np.ndarray, np.ndarray]:
+    """Output of the stack and its full Jacobian (forward mode).
+
+    For a column batch the Jacobians are stacked along a leading axis,
+    ``(columns, width, fan_in)``.  Stored :func:`chain_forward` ``values``
+    at ``value`` spare the forward pass.
+    """
+    if values is None:
+        values = chain_forward(layers, value)
     jac = np.eye(value.shape[0])
     for layer, out in zip(layers, values[1:]):
-        jac = layer.activation.derivative_from_output(out)[:, None] * (layer.weights @ jac)
+        jac = layer.activation.derivative_from_output(out).T[..., None] * (layer.weights @ jac)
     return values[-1], jac
 
 
@@ -305,6 +311,77 @@ def output_map(model: SsnnModel, x: np.ndarray) -> np.ndarray:
     return chain_forward(model.output_layers, x)[-1]
 
 
+def _first_non_finite(A: np.ndarray) -> int | None:
+    bad = np.flatnonzero(~np.isfinite(A).all(axis=0))
+    return int(bad[0]) if bad.size else None
+
+
+def rollout(model: SsnnModel, U: np.ndarray) -> np.ndarray:
+    """State sequence ``X`` (d, N) under inputs ``U`` (m, N).
+
+    ``X[:, 0]`` is the model's initial state and ``X[:, k+1] = f(X[:, k], U[:, k])``;
+    the last input column is not used.  This is the one sequential loop over
+    the state recursion: the input term of the first state layer does not
+    depend on the state, so it is computed for all steps at once.
+
+    Raises
+    ------
+    DivergenceError
+        At the first step whose state is non-finite, even if later states
+        come back finite.
+    """
+    U = np.asarray(U, dtype=float)
+    if U.ndim == 1:
+        U = U[None, :]
+    if U.shape[0] != model.input_dim:
+        raise ModelDimensionError(f"U has {U.shape[0]} rows, expected {model.input_dim}")
+    d, n = model.state_dim, U.shape[1]
+    if n < 1:
+        raise ValueError("input sequence must have at least one column")
+    first = model.state_layers[0]
+    state_weights = first.weights[:, :d]
+    drive = (first.weights[:, d:] @ U[:, :-1] + first.bias[:, None]).T.copy()
+    # per step each layer is a matrix-vector product, an add and an in-place
+    # tanh: Python dispatch, not arithmetic, is the cost of this loop
+    first_tanh = first.activation is ActivationKind.TANH
+    rest = [(l.weights, l.bias, l.activation is ActivationKind.TANH) for l in model.state_layers[1:]]
+    X = np.empty((n, d))
+    X[0] = x = model.x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            x = np.dot(state_weights, x)
+            x += drive[k]
+            if first_tanh:
+                np.tanh(x, out=x)
+            for weights, bias, tanh in rest:
+                x = np.dot(weights, x)
+                x += bias
+                if tanh:
+                    np.tanh(x, out=x)
+            X[k + 1] = x
+    X = np.ascontiguousarray(X.T)
+    step = _first_non_finite(X)
+    if step is not None:
+        raise DivergenceError(step, f"non-finite state at step {step}")
+    return X
+
+
+def output_values(model: SsnnModel, X: np.ndarray) -> list[np.ndarray]:
+    """Every output-layer value over a state sequence (:func:`chain_forward`).
+
+    Raises
+    ------
+    DivergenceError
+        At the first step whose output is non-finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = chain_forward(model.output_layers, X)
+    step = _first_non_finite(values[-1])
+    if step is not None:
+        raise DivergenceError(step, f"non-finite output at step {step}")
+    return values
+
+
 def simulate(model: SsnnModel, U: np.ndarray) -> Trajectory:
     """Roll the model forward over an input sequence.
 
@@ -323,32 +400,11 @@ def simulate(model: SsnnModel, U: np.ndarray) -> Trajectory:
     Raises
     ------
     DivergenceError
-        If any state or output value goes non-finite; carries the step index.
+        At the first non-finite state, else at the first non-finite output;
+        carries the step index.
     """
-    U = np.asarray(U, dtype=float)
-    if U.ndim == 1:
-        U = U[None, :]
-    if U.shape[0] != model.input_dim:
-        raise ModelDimensionError(f"U has {U.shape[0]} rows, expected {model.input_dim}")
-    n = U.shape[1]
-    if n < 1:
-        raise ValueError("input sequence must have at least one column")
-    d, p = model.state_dim, model.output_dim
-    X = np.empty((d, n))
-    Y = np.empty((p, n))
-    x = model.x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            X[:, k] = x
-            y = output_map(model, x)
-            if not np.isfinite(y).all():
-                raise DivergenceError(k, f"non-finite output at step {k}")
-            Y[:, k] = y
-            if k < n - 1:
-                x = state_step(model, x, U[:, k])
-                if not np.isfinite(x).all():
-                    raise DivergenceError(k + 1, f"non-finite state at step {k + 1}")
-    return Trajectory(states=X, outputs=Y)
+    X = rollout(model, U)
+    return Trajectory(states=X, outputs=output_values(model, X)[-1])
 
 
 def variance_stats(X: np.ndarray) -> VarianceStats:

@@ -26,9 +26,12 @@ from .core_model import (
     SsnnModel,
     VarianceStats,
     chain_forward,
+    chain_jacobian,
     chain_vjp,
     flatten_params,
+    output_values,
     random_model,
+    rollout,
     simulate,
     unflatten_params,
     variance_stats,
@@ -143,45 +146,41 @@ def _breakdown(model, X, Yhat, Y, w, alpha, beta) -> LossBreakdown:
 
 def _loss_and_gradient(model: SsnnModel, U, Y, w, alpha, beta, need_grad=True):
     d = model.state_dim
-    n = U.shape[1]
-    X = np.empty((d, n))
-    X[:, 0] = model.x0
-    f_cache = []  # per-step state-layer values, kept for the adjoint sweep
-    x = model.x0
+    X = rollout(model, U)
+    g_cache = output_values(model, X)
+    Yhat = g_cache[-1]
+    # overflow shows as a non-finite total, which the objective reads as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n - 1):
-            values = chain_forward(model.state_layers, np.concatenate([x, U[:, k]]))
-            x = values[-1]
-            if not np.isfinite(x).all():
-                raise DivergenceError(k + 1, f"non-finite state at step {k + 1}")
-            f_cache.append(values)
-            X[:, k + 1] = x
-        g_cache = chain_forward(model.output_layers, X)
-        Yhat = g_cache[-1]
-        if not np.isfinite(Yhat).all():
-            bad = int(np.flatnonzero(~np.isfinite(Yhat).all(axis=0))[0])
-            raise DivergenceError(bad, f"non-finite output at step {bad}")
-    bd = _breakdown(model, X, Yhat, Y, w, alpha, beta)
-    if not need_grad:
-        return bd, None
+        bd = _breakdown(model, X, Yhat, Y, w, alpha, beta)
+        if not need_grad:
+            return bd, None
 
-    # direct dependence of the loss on each state column (variance path);
-    # the mean-centering term cancels exactly
-    centered = X - X.mean(axis=1)[:, None]
-    G_X = 2.0 * alpha * (w[:, None] * centered)
+        # direct dependence of the loss on each state column (variance path);
+        # the mean-centering term cancels exactly
+        centered = X - X.mean(axis=1)[:, None]
+        G_X = 2.0 * alpha * (w[:, None] * centered)
 
-    # output subnetwork, batched over columns
-    g_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.output_layers]
-    G_X += chain_vjp(model.output_layers, g_cache, 2.0 * (Yhat - Y), g_grads)
-    for (gw, gb), layer in zip(g_grads, model.output_layers):
-        gw += 2.0 * beta * layer.weights
-        gb += 2.0 * beta * layer.bias
+        # output subnetwork, batched over columns
+        g_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.output_layers]
+        G_X += chain_vjp(model.output_layers, g_cache, 2.0 * (Yhat - Y), g_grads)
+        for (gw, gb), layer in zip(g_grads, model.output_layers):
+            gw += 2.0 * beta * layer.weights
+            gb += 2.0 * beta * layer.bias
 
-    # state subnetwork: adjoint sweep through the unrolled recursion
-    f_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.state_layers]
-    lam = G_X[:, n - 1].copy()
-    for k in reversed(range(n - 1)):
-        lam = G_X[:, k] + chain_vjp(model.state_layers, f_cache[k], lam, f_grads)[:d]
+        # state subnetwork: every step's layer values and state Jacobian at once
+        f_cache = chain_forward(model.state_layers, np.vstack([X[:, :-1], U[:, :-1]]))
+        _, jac = chain_jacobian(model.state_layers, f_cache[0], f_cache)
+        J = jac[:, :, :d]  # J[k] = dx_{k+1}/dx_k
+
+        # the costate recursion lam_k = G_X[:, k] + J_k^T lam_{k+1} is the only loop
+        Lam = np.empty_like(G_X)
+        Lam[:, -1] = lam = G_X[:, -1]
+        for k in reversed(range(len(J))):
+            Lam[:, k] = lam = G_X[:, k] + J[k].T @ lam
+
+        # each step's state output carries the costate of the next step
+        f_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.state_layers]
+        chain_vjp(model.state_layers, f_cache, Lam[:, 1:], f_grads)
 
     parts = []
     for gw, gb in f_grads + g_grads:

@@ -341,3 +341,26 @@ def test_montecarlo_split_below_level_changes_names_the_flag(tmp_path, capsys):
     assert code == cli.USAGE_EXIT
     assert "--split" in capsys.readouterr().err
     assert not (tmp_path / "mc_cells.csv").exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_train_without_seeds_is_usage_error(tmp_path, dataset_file, capsys, seeds):
+    out = tmp_path / "model.json"
+    code = run(["train", "--data", str(dataset_file), "--seeds", seeds, "--out", str(out)])
+    assert code == cli.USAGE_EXIT
+    assert "--seeds" in capsys.readouterr().err
+    assert list(tmp_path.glob("model*")) == []
+
+
+def test_montecarlo_without_seeds_is_usage_error(tmp_path, capsys):
+    code = run(["montecarlo", "--seeds", "0", "--out", str(tmp_path / "mc.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "--seeds" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_montecarlo_without_noise_levels_is_usage_error(tmp_path, capsys):
+    code = run(["montecarlo", "--noise-levels", "", "--out", str(tmp_path / "mc.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "--noise-levels" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -405,3 +405,65 @@ def test_select_states_rejects_bad_keep_and_frozen():
         s.core_model.select_states(model, [0, 1])
     with pytest.raises(ValueError, match="frozen"):
         s.core_model.select_states(model, [2, 1, 0], [0.5])
+
+
+# --- rollout and simulate ----------------------------------------------------------------
+
+
+def test_chain_jacobian_batch_stacks_column_jacobians():
+    rng = np.random.default_rng(79)
+    for _ in range(10):
+        layers = s.random_model(random_architecture(rng), rng).state_layers
+        V = rng.standard_normal((layers[0].fan_in, 7))
+        out, jac = s.core_model.chain_jacobian(layers, V)
+        assert jac.shape == (7, layers[-1].width, layers[0].fan_in)
+        for k in range(7):
+            out_k, jac_k = s.core_model.chain_jacobian(layers, V[:, k])
+            assert np.allclose(out[:, k], out_k, rtol=0, atol=1e-15)
+            assert np.allclose(jac[k], jac_k, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 4), max_size=2),
+       tanh=st.lists(st.booleans(), min_size=3, max_size=3), n=st.integers(1, 40))
+def test_simulate_matches_state_step_output_map_loop(seed, hidden, tanh, n):
+    rng = np.random.default_rng(seed)
+    d, m, p = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    arch = s.SsnnArchitecture(d, m, p, tuple(hidden) + (d,), (3, p))
+    acts = tuple(s.ActivationKind.TANH if t else s.ActivationKind.LINEAR for t in tanh)
+    theta = rng.uniform(-1.0, 1.0, arch.n_params)
+    model = s.unflatten_params(arch, theta, state_activations=acts[: len(hidden) + 1])
+    U = rng.standard_normal((m, n))
+    traj = s.simulate(model, U)
+    assert np.array_equal(s.core_model.rollout(model, U), traj.states)
+    x = model.x0
+    for k in range(n):
+        assert np.allclose(traj.states[:, k], x, rtol=1e-12, atol=1e-12)
+        assert np.allclose(traj.outputs[:, k], s.output_map(model, x), rtol=1e-12, atol=1e-12)
+        x = s.state_step(model, x, U[:, k])
+
+
+def test_state_overflow_squashed_back_still_diverges_at_its_step():
+    # x_1 = 1e308 (tanh 20 + tanh 20) overflows; at step 2 the hidden units
+    # saturate at +1 and -1 and the two halves cancel, so x_2 = 0 is finite again
+    arch = s.SsnnArchitecture(1, 1, 1, (2, 1), (1,))
+    model = s.SsnnModel(
+        arch=arch,
+        state_layers=(tanh_layer([[1.0, 0.0], [-1.0, 0.0]], [20.0, 20.0]),
+                      linear_layer([[1e308, 1e308]])),
+        output_layers=(linear_layer([[1.0]]),),
+        x0=np.zeros(1),
+    )
+    U = np.zeros((1, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1 = s.state_step(model, model.x0, U[:, 0])
+        assert not np.isfinite(x1).any()
+        assert np.array_equal(s.state_step(model, x1, U[:, 1]), [0.0])
+    for evaluate in (s.core_model.rollout, s.simulate):
+        with pytest.raises(s.DivergenceError) as err:
+            evaluate(model, U)
+        assert err.value.step == 1
+    data = s.Dataset.from_arrays(U, np.zeros((1, 4)))
+    with pytest.raises(s.DivergenceError) as err:
+        s.loss(model, data, s.LossWeights.default(1, 0.1, 0.1))
+    assert err.value.step == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssnno as s
 
@@ -316,3 +317,33 @@ def test_objective_treats_non_finite_parameters_as_divergent(bad):
     assert np.isfinite(fg(theta)[0])
     theta[3] = bad
     assert fg(theta) == (np.inf, None, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 4), max_size=2),
+       tanh_last=st.booleans(), d=st.integers(1, 3))
+def test_loss_gradient_matches_central_differences_on_random_architectures(seed, hidden, tanh_last, d):
+    rng = np.random.default_rng(seed)
+    m, p, n = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(2, 16))
+    arch = s.SsnnArchitecture(d, m, p, tuple(hidden) + (d,), (3, p))
+    acts = s.core_model.default_activations(len(arch.state_layer_widths))
+    if tanh_last:
+        acts = acts[:-1] + (s.ActivationKind.TANH,)
+    theta = rng.uniform(-0.8, 0.8, arch.n_params)
+    model = s.unflatten_params(arch, theta, state_activations=acts)
+    U = rng.standard_normal((m, n))
+    data = s.Dataset.from_arrays(U, rng.standard_normal((p, n)))
+    weights = s.LossWeights(alpha=float(rng.uniform(0.01, 0.5)), beta=float(rng.uniform(0.01, 0.5)),
+                            w=np.arange(1.0, d + 1.0))
+    grad = s.loss_gradient(model, data, weights)
+
+    def total(th):
+        return s.loss(s.unflatten_params(arch, th, state_activations=acts), data, weights).total
+
+    h = 1e-6
+    fd = np.empty_like(theta)
+    for i in range(theta.size):
+        e = np.zeros_like(theta)
+        e[i] = h
+        fd[i] = (total(theta + e) - total(theta - e)) / (2 * h)
+    assert np.allclose(grad, fd, rtol=1e-6, atol=1e-6)
