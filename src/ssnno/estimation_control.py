@@ -1,25 +1,24 @@
 """Closed-loop use of an identified model: EKF, steady-state references, MPC.
 
 The filter and controller both run on the (reduced) identified model.  MPC
-is transcribed by single shooting over the input moves with exact adjoint
-gradients and projection onto the input box, solved by a projected
-quasi-Newton iteration with Armijo backtracking.
+is transcribed by single shooting over the input moves; one pass over the
+horizon gives the exact shooting sensitivities, hence the gradient and the
+Gauss–Newton Hessian of the tracking cost, and the box-constrained problem is
+solved by projected Gauss–Newton with Armijo backtracking.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from collections import deque
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .benchmark import CstrParams, SimConfig, plant_step
-from .core_model import SsnnModel, chain_forward, chain_jacobian, chain_vjp, output_map, state_step
+from .core_model import SsnnModel, chain_jacobian, output_map, state_step
 from .reduction import ReducedModel
-from .training import _two_loop
 
 
 class EstimationError(RuntimeError):
@@ -185,7 +184,7 @@ def ekf_step(model, state: EkfState, cfg: EkfConfig, u_applied, y_measured) -> E
 def solve_steady_state(
     model,
     target,
-    u_bounds: tuple[float, float] = (-1.0, 0.0),
+    u_bounds=(-1.0, 0.0),
     tol: float = 1e-8,
     max_iterations: int = 60,
     n_starts: int = 5,
@@ -196,6 +195,7 @@ def solve_steady_state(
     Newton iteration on the stacked residual (output mismatch and state
     fixed-point defect) from several seeded starts; among converged solutions
     one with the input inside ``u_bounds`` is preferred when it exists.
+    ``u_bounds`` is a ``(lower, upper)`` pair of scalars or of per-input arrays.
     """
     net = _unwrap(model)
     s, m, p = net.state_dim, net.input_dim, net.output_dim
@@ -216,7 +216,7 @@ def solve_steady_state(
         return r, jac
 
     rng = np.random.default_rng(seed)
-    lo, hi = u_bounds
+    lo, hi = (np.asarray(b, dtype=float) for b in u_bounds)
     starts = [(np.zeros(s), np.full(m, 0.5 * (lo + hi)))]
     for _ in range(n_starts - 1):
         starts.append((rng.normal(0.0, 0.5, s), rng.uniform(lo, hi, m)))
@@ -268,31 +268,43 @@ class MpcSolution:
     first_move: np.ndarray  # (m,)
     cost: float
     converged: bool
+    iterations: int  # accepted Gauss–Newton steps
+
+
+def _mpc_sensitivities(net: SsnnModel, x0, useq, refs: ReferencePair, Q, R):
+    """Tracking cost, its gradient and its Gauss–Newton Hessian from one shooting pass.
+
+    ``S`` stacks the sensitivities ``d x_{i+1} / d u_j`` with time-major
+    columns: ``S[i, :, :i] = F_i S[i-1, :, :i]`` and ``S[i, :, i] = G_i``.
+    The gradient is ``2(SᵀQ̄e + R̄Δu)`` and the Hessian ``2(SᵀQ̄S + R̄)``,
+    with ``Q̄`` and ``R̄`` block diagonal.  The Hessian's rows and columns
+    run over the time-major moves ``useq.T.ravel()``; the gradient is
+    returned shaped like ``useq``.
+    """
+    s = net.state_dim
+    m, horizon = useq.shape
+    S = np.zeros((horizon, s, horizon * m))
+    errors = np.empty((horizon, s))
+    x = np.asarray(x0, dtype=float)
+    for i in range(horizon):
+        x, jac = chain_jacobian(net.state_layers, np.concatenate([x, useq[:, i]]))
+        if i:
+            S[i, :, : i * m] = jac[:, :s] @ S[i - 1, :, : i * m]
+        S[i, :, i * m : (i + 1) * m] = jac[:, s:]
+        errors[i] = x - refs.x_ref
+    du = useq.T - refs.u_ref  # (horizon, m)
+    Qe, Rdu = errors @ Q, du @ R  # Q and R are symmetric
+    cost = float((errors * Qe).sum() + (du * Rdu).sum())
+    S = S.reshape(horizon * s, horizon * m)
+    grad = 2.0 * (S.T @ Qe.ravel() + Rdu.ravel())
+    hess = 2.0 * (S.T @ (Q @ S.reshape(horizon, s, -1)).reshape(horizon * s, -1))
+    steps = np.arange(horizon)
+    hess.reshape(horizon, m, horizon, m)[steps, :, steps, :] += 2.0 * R
+    return cost, grad.reshape(horizon, m).T, hess
 
 
 def _mpc_cost_grad(net: SsnnModel, x0, useq, refs: ReferencePair, Q, R):
-    horizon = useq.shape[1]
-    xs = [np.asarray(x0, dtype=float)]
-    f_cache = []  # per-step state-layer values, kept for the adjoint sweep
-    for i in range(horizon):
-        values = chain_forward(net.state_layers, np.concatenate([xs[-1], useq[:, i]]))
-        xs.append(values[-1])
-        f_cache.append(values)
-    s = net.state_dim
-    cost = 0.0
-    for i in range(1, horizon + 1):
-        e = xs[i] - refs.x_ref
-        cost += float(e @ Q @ e)
-    grad = np.empty_like(useq)
-    lam = 2.0 * (Q @ (xs[horizon] - refs.x_ref))
-    for i in reversed(range(horizon)):
-        du = useq[:, i] - refs.u_ref
-        cost += float(du @ R @ du)
-        pulled = chain_vjp(net.state_layers, f_cache[i], lam)
-        grad[:, i] = 2.0 * (R @ du) + pulled[s:]
-        lam = pulled[:s]
-        if i >= 1:
-            lam = lam + 2.0 * (Q @ (xs[i] - refs.x_ref))
+    cost, grad, _ = _mpc_sensitivities(net, x0, useq, refs, Q, R)
     return cost, grad
 
 
@@ -307,8 +319,11 @@ def mpc_solve(
 ) -> MpcSolution:
     """Minimize the tracking cost over the input moves inside the box.
 
-    Single shooting; projected quasi-Newton with Armijo backtracking along
-    the projected arc, steepest-descent fallback.  The returned sequence
+    Single shooting; projected Gauss–Newton (Bertsekas 1982) with Armijo
+    backtracking along the projected arc.  Each iteration holds every move
+    that sits at a bound with ``-g`` pointing out of the box (its step is
+    ``-g``, which the projection cancels) and takes the Gauss–Newton step
+    on the free moves.  The returned sequence
     satisfies the bounds exactly.  If the iteration stalls the best feasible
     iterate is returned with ``converged=False``.
     """
@@ -323,48 +338,43 @@ def mpc_solve(
     x_hat = np.asarray(x_hat, dtype=float)
     Q, R = cfg.state_weight, cfg.input_weight
 
-    cost, grad = _mpc_cost_grad(net, x_hat, useq, refs, Q, R)
-    mem: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=10)
+    cost, grad, hess = _mpc_sensitivities(net, x_hat, useq, refs, Q, R)
     converged = False
-    for _ in range(max_iterations):
+    iterations = 0
+    while iterations < max_iterations:
         projected_residual = useq - np.clip(useq - grad, lo, hi)
         if float(np.linalg.norm(projected_residual)) <= tol:
             converged = True
             break
 
+        # hessian rows and columns run over the time-major moves useq.T
+        held = ((useq <= lo) & (grad > 0)) | ((useq >= hi) & (grad < 0))
+        free = ~held.T.ravel()
+        direction = -grad.T.ravel()
+        direction[free] = np.linalg.solve(hess[np.ix_(free, free)], direction[free])
+        direction = direction.reshape(horizon, m).T
+
         accepted = None
-        for use_fallback in (False, True):
-            if use_fallback:
-                mem.clear()
-                direction = -grad
-            else:
-                direction = -_two_loop(grad.ravel(), mem).reshape(grad.shape)
-            a = 1.0
-            for _ in range(40):
-                trial = np.clip(useq + a * direction, lo, hi)
-                step = trial - useq
-                inner = float((grad * step).sum())
-                if inner >= 0 or not step.any():
-                    a *= 0.5
-                    continue
-                new_cost, new_grad = _mpc_cost_grad(net, x_hat, trial, refs, Q, R)
-                if new_cost <= cost + 1e-4 * inner:
-                    accepted = (trial, new_cost, new_grad)
-                    break
+        a = 1.0
+        for _ in range(40):
+            trial = np.clip(useq + a * direction, lo, hi)
+            step = trial - useq
+            inner = float((grad * step).sum())
+            if inner >= 0 or not step.any():
                 a *= 0.5
-            if accepted is not None:
+                continue
+            new = _mpc_sensitivities(net, x_hat, trial, refs, Q, R)
+            if new[0] <= cost + 1e-4 * inner:
+                accepted = trial, new
                 break
+            a *= 0.5
         if accepted is None:
             break
-        trial, new_cost, new_grad = accepted
-        s_vec = (trial - useq).ravel()
-        y_vec = (new_grad - grad).ravel()
-        sy = float(s_vec @ y_vec)
-        if sy > 1e-12:
-            mem.append((s_vec, y_vec, 1.0 / sy))
-        useq, cost, grad = trial, new_cost, new_grad
+        useq, (cost, grad, hess) = accepted
+        iterations += 1
 
-    return MpcSolution(sequence=useq, first_move=useq[:, 0].copy(), cost=cost, converged=converged)
+    return MpcSolution(sequence=useq, first_move=useq[:, 0].copy(), cost=cost,
+                       converged=converged, iterations=iterations)
 
 
 def hold_levels(levels, n_steps: int) -> np.ndarray:
@@ -401,6 +411,8 @@ class ClosedLoopLog:
     u: np.ndarray  # (m, n)
     x_hat: np.ndarray  # (s, n)
     mpc_cost: np.ndarray
+    mpc_converged: np.ndarray  # bool
+    mpc_iterations: np.ndarray  # int
     y_full: np.ndarray | None = None
 
     @property
@@ -417,7 +429,7 @@ class ClosedLoopLog:
             writer = csv.writer(fh)
             header = ["k", "y_target", "y", "y_true", "y_model", "u"]
             header += [f"x_hat_{i + 1}" for i in range(self.x_hat.shape[0])]
-            header += ["mpc_cost"]
+            header += ["mpc_cost", "mpc_converged", "mpc_iterations"]
             if self.y_full is not None:
                 header.append("y_full_model")
             writer.writerow(header)
@@ -431,7 +443,8 @@ class ClosedLoopLog:
                     repr(float(self.u[0, k])),
                 ]
                 row += [repr(float(v)) for v in self.x_hat[:, k]]
-                row.append(repr(float(self.mpc_cost[k])))
+                row += [repr(float(self.mpc_cost[k])), int(self.mpc_converged[k]),
+                        int(self.mpc_iterations[k])]
                 if self.y_full is not None:
                     row.append(repr(float(self.y_full[k])))
                 writer.writerow(row)
@@ -470,6 +483,8 @@ def closed_loop_run(
         u=np.empty((m, n)),
         x_hat=np.empty((s, n)),
         mpc_cost=np.empty(n),
+        mpc_converged=np.empty(n, dtype=bool),
+        mpc_iterations=np.empty(n, dtype=int),
         y_full=np.empty(n) if full_model is not None else None,
     )
 
@@ -479,7 +494,7 @@ def closed_loop_run(
     u_prev = np.zeros(m)
     refs_cache: dict[float, ReferencePair] = {}
     warm = None
-    bounds = (float(mpc_cfg.u_min[0]), float(mpc_cfg.u_max[0]))
+    bounds = (mpc_cfg.u_min, mpc_cfg.u_max)
 
     for k in range(n):
         try:
@@ -501,6 +516,8 @@ def closed_loop_run(
             log.u[:, k] = u_k
             log.x_hat[:, k] = ekf.estimate
             log.mpc_cost[k] = sol.cost
+            log.mpc_converged[k] = sol.converged
+            log.mpc_iterations[k] = sol.iterations
             if full_model is not None:
                 log.y_full[k] = float(output_map(full_model, x_full)[0])
                 x_full = state_step(full_model, x_full, u_k)

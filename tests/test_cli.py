@@ -326,6 +326,20 @@ def test_mpc_fewer_steps_than_target_levels_is_usage_error(tmp_path, capsys):
     assert "3 target levels" in capsys.readouterr().err
 
 
+def test_mpc_log_records_every_solve_converged(tmp_path):
+    rm_path = Path(__file__).parents[1] / "benchmarks" / "fixture" / "reduced_model.json"
+    out = tmp_path / "log.csv"
+    assert run(["mpc", "--reduced-model", str(rm_path), "--targets", "0.5,0.65",
+                "--steps", "40", "--plant-noise-std", "0.02", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    header = list(rows[0].keys())
+    assert header.index("mpc_converged") == header.index("mpc_cost") + 1
+    assert header.index("mpc_iterations") == header.index("mpc_cost") + 2
+    assert all(r["mpc_converged"] == "1" for r in rows)
+    iterations = np.array([int(r["mpc_iterations"]) for r in rows])
+    assert iterations.min() >= 0 and iterations.max() <= 150
+
+
 def test_evaluate_dataset_without_output_column_is_usage_error(quick_model_dir, tmp_path, capsys):
     data = tmp_path / "no_y.csv"
     data.write_text("k,u,split\n0,-0.1,train\n1,-0.2,test\n")

@@ -196,6 +196,39 @@ def test_reference_pair_rejects_large_residual():
                         residual_norm=1e-5)
 
 
+def two_input_model():
+    """x+ = 0.5 x + 0.25 (u1 + u2), y = x: steady state at y_t needs u1 + u2 = 2 y_t."""
+    arch = s.SsnnArchitecture(1, 2, 1, (1,), (1,))
+    return s.SsnnModel(
+        arch=arch,
+        state_layers=(s.LayerParams(np.array([[0.5, 0.25, 0.25]]), np.zeros(1), s.ActivationKind.LINEAR),),
+        output_layers=(s.LayerParams(np.array([[1.0]]), np.zeros(1), s.ActivationKind.LINEAR),),
+        x0=np.zeros(1),
+    )
+
+
+def test_closed_loop_references_lie_in_every_input_box(monkeypatch):
+    lo, hi = np.array([-1.0, 1.0]), np.array([0.0, 2.0])
+    picked = []
+    original = ec.solve_steady_state
+
+    def recording(*args, **kwargs):
+        picked.append(original(*args, **kwargs))
+        return picked[-1]
+
+    monkeypatch.setattr(ec, "solve_steady_state", recording)
+    cfg = s.MpcConfig(horizon=3, state_weight=np.eye(1), input_weight=0.5 * np.eye(2),
+                      u_min=lo, u_max=hi)
+    with pytest.warns(UserWarning, match="least-squares"):
+        log = s.closed_loop_run(
+            s.CstrParams(), s.SimConfig(horizon=4, noise_std=0.0, seed=0),
+            two_input_model(), s.default_ekf_config(1), cfg, targets=np.full(4, 0.75),
+        )
+    assert len(picked) == 1
+    assert np.all(picked[0].u_ref >= lo) and np.all(picked[0].u_ref <= hi)
+    assert np.all(log.u >= lo[:, None]) and np.all(log.u <= hi[:, None])
+
+
 # --- MPC -------------------------------------------------------------------------
 
 
@@ -338,3 +371,112 @@ def test_mpc_cost_gradient_matches_central_differences(seed, horizon, hidden):
         fd[idx] = (ec._mpc_cost_grad(net, x0, useq + e, refs, Q, R)[0]
                    - ec._mpc_cost_grad(net, x0, useq - e, refs, Q, R)[0]) / (2 * h)
     assert np.abs(grad - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
+# --- projected Gauss–Newton ---------------------------------------------------------
+
+
+def random_linear_model(rng, d, m):
+    arch = s.SsnnArchitecture(d, m, 1, (d,), (1,))
+    return s.SsnnModel(
+        arch=arch,
+        state_layers=(s.LayerParams(rng.uniform(-0.8, 0.8, (d, d + m)), rng.uniform(-0.5, 0.5, d),
+                                    s.ActivationKind.LINEAR),),
+        output_layers=(s.LayerParams(rng.standard_normal((1, d)), np.zeros(1), s.ActivationKind.LINEAR),),
+        x0=np.zeros(d),
+    )
+
+
+def random_tracking_problem(rng, d, m):
+    """Weights, references and a start state."""
+    B = rng.standard_normal((d, d))
+    Q = B @ B.T + 0.1 * np.eye(d)
+    R = np.diag(rng.uniform(0.1, 1.0, m))
+    refs = ec.ReferencePair(x_ref=rng.standard_normal(d), u_ref=rng.uniform(-1.5, 0.5, m),
+                            target=np.zeros(1), residual_norm=0.0)
+    return Q, R, refs, rng.standard_normal(d)
+
+
+def flat_hessian_by_central_differences(net, x0, useq, refs, Q, R, h=1e-5):
+    """Columns over the time-major moves ``useq.T.ravel()``, like the Gauss–Newton Hessian."""
+    m, horizon = useq.shape
+    fd = np.empty((m * horizon, m * horizon))
+    for j in range(m * horizon):
+        e = np.zeros(m * horizon)
+        e[j] = h
+        e = e.reshape(horizon, m).T
+        g_plus = ec._mpc_cost_grad(net, x0, useq + e, refs, Q, R)[1]
+        g_minus = ec._mpc_cost_grad(net, x0, useq - e, refs, Q, R)[1]
+        fd[:, j] = ((g_plus - g_minus) / (2 * h)).T.ravel()
+    return fd
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), m=st.integers(1, 2),
+       horizon=st.integers(1, 6))
+def test_mpc_meets_box_kkt_conditions_on_linear_models(seed, d, m, horizon):
+    # linear model: the problem is a convex box QP, so KKT is sufficient for optimality
+    rng = np.random.default_rng(seed)
+    net = random_linear_model(rng, d, m)
+    Q, R, refs, x0 = random_tracking_problem(rng, d, m)
+    lo = rng.uniform(-1.0, 0.0, m)
+    hi = lo + rng.uniform(0.05, 1.0, m)
+    cfg = s.MpcConfig(horizon=horizon, state_weight=Q, input_weight=R, u_min=lo, u_max=hi)
+    sol = s.mpc_solve(net, x0, refs, cfg)
+    assert sol.converged
+    useq = sol.sequence
+    _, grad = ec._mpc_cost_grad(net, x0, useq, refs, Q, R)
+    at_lo, at_hi = useq == lo[:, None], useq == hi[:, None]
+    free = ~(at_lo | at_hi)
+    assert np.all(useq >= lo[:, None]) and np.all(useq <= hi[:, None])
+    assert np.all(np.abs(grad[free]) <= 1e-7)
+    assert np.all(grad[at_lo] >= -1e-7)
+    assert np.all(grad[at_hi] <= 1e-7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), m=st.integers(1, 2),
+       horizon=st.integers(1, 6))
+def test_gauss_newton_hessian_is_exact_for_linear_models(seed, d, m, horizon):
+    rng = np.random.default_rng(seed)
+    net = random_linear_model(rng, d, m)
+    Q, R, refs, x0 = random_tracking_problem(rng, d, m)
+    useq = rng.uniform(-1, 0, (m, horizon))
+    cost, grad, hess = ec._mpc_sensitivities(net, x0, useq, refs, Q, R)
+    cost_only, grad_only = ec._mpc_cost_grad(net, x0, useq, refs, Q, R)
+    assert cost_only == cost and np.array_equal(grad_only, grad)
+    fd = flat_hessian_by_central_differences(net, x0, useq, refs, Q, R)
+    assert np.abs(hess - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 7),
+       hidden=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_gauss_newton_hessian_is_symmetric_positive_definite(seed, horizon, hidden):
+    rng = np.random.default_rng(seed)
+    d, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    net = s.random_model(s.SsnnArchitecture(d, m, 1, tuple(hidden) + (d,), (2, 1)), rng, init_scale=0.8)
+    Q, R, refs, x0 = random_tracking_problem(rng, d, m)
+    _, _, hess = ec._mpc_sensitivities(net, x0, rng.uniform(-1, 0, (m, horizon)), refs, Q, R)
+    scale = max(1.0, np.abs(hess).max())
+    assert hess.shape == (m * horizon, m * horizon)
+    assert np.abs(hess - hess.T).max() <= 1e-12 * scale
+    # 2(SᵀQ̄S + R̄) is at least 2R̄, whatever the sensitivities
+    assert np.linalg.eigvalsh(hess).min() >= 2 * np.diag(R).min() - 1e-9 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 7),
+       hidden=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_mpc_never_returns_a_costlier_sequence_than_its_start(seed, horizon, hidden):
+    rng = np.random.default_rng(seed)
+    d, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    net = s.random_model(s.SsnnArchitecture(d, m, 1, tuple(hidden) + (d,), (2, 1)), rng, init_scale=0.8)
+    Q, R, refs, x0 = random_tracking_problem(rng, d, m)
+    cfg = s.MpcConfig(horizon=horizon, state_weight=Q, input_weight=R,
+                      u_min=-np.ones(m), u_max=np.zeros(m))
+    start = rng.uniform(-1, 0, (m, horizon))
+    sol = s.mpc_solve(net, x0, refs, cfg, initial_sequence=start)
+    assert sol.cost <= ec._mpc_cost_grad(net, x0, start, refs, Q, R)[0]
+    assert sol.cost == ec._mpc_cost_grad(net, x0, sol.sequence, refs, Q, R)[0]
+    assert 0 <= sol.iterations <= 150
