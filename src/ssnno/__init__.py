@@ -36,10 +36,11 @@ from .training import (
     TrainReport,
     loss,
     loss_gradient,
+    permuted_loss_check,
     repair_variance_ordering,
     train,
 )
-from .permutation import PermutationIndex, permute_model, permuted_loss_check, variance_sort_index
+from .permutation import PermutationIndex, permute_model, variance_sort_index
 from .reduction import (
     ReducedModel,
     SignificanceReport,

@@ -140,10 +140,12 @@ def plant_step(
     return x
 
 
+INPUT_LEVEL_RANGE = (-0.6, 0.0)  # jacket-temperature levels of the CSTR study, inside [-1, 0]
+
+
 def generate_input(
     seed: int,
     n_samples: int = 900,
-    level_range: tuple[float, float] = (-0.6, 0.0),
     n_steps: int = 45,
     train_window: int = 500,
 ) -> np.ndarray:
@@ -152,7 +154,7 @@ def generate_input(
     The training window is cut into ``n_steps + 1`` near-equal segments, so it
     contains exactly ``n_steps`` level changes; the remaining samples continue
     with segments of the same nominal length.  Levels are i.i.d. uniform over
-    ``level_range``.
+    ``INPUT_LEVEL_RANGE``.
     """
     if not 0 < train_window <= n_samples:
         raise ValueError("train_window must be in 1..n_samples")
@@ -160,7 +162,6 @@ def generate_input(
     if n_segments > train_window:
         raise ValueError("more level changes than training samples")
     rng = np.random.default_rng([int(seed), 0])
-    lo, hi = level_range
     lengths = [len(chunk) for chunk in np.array_split(np.arange(train_window), n_segments)]
     # continue the same style over the test window
     nominal = max(1, round(train_window / n_segments))
@@ -169,7 +170,7 @@ def generate_input(
         take = min(nominal, remaining)
         lengths.append(take)
         remaining -= take
-    levels = rng.uniform(lo, hi, size=len(lengths))
+    levels = rng.uniform(*INPUT_LEVEL_RANGE, size=len(lengths))
     u = np.repeat(levels, lengths)
     return u[None, :]
 

@@ -38,12 +38,15 @@ class ClosedLoopError(RuntimeError):
         self.partial_log = partial_log
 
 
-def _require_spd(mat: np.ndarray, name: str) -> np.ndarray:
+def _require_spd(mat: np.ndarray, name: str, semidefinite: bool = False) -> np.ndarray:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.shape[0] != mat.shape[1] or not np.allclose(mat, mat.T, atol=1e-12):
-        raise ValueError(f"{name} must be a symmetric square matrix")
-    if np.linalg.eigvalsh(mat).min() <= 0:
-        raise ValueError(f"{name} must be positive definite")
+    square = mat.ndim == 2 and mat.shape[0] == mat.shape[1] and np.isfinite(mat).all()
+    if not (square and np.allclose(mat, mat.T, atol=1e-12)):
+        raise ValueError(f"{name} must be a finite symmetric square matrix")
+    eig = np.linalg.eigvalsh(mat)
+    # roundoff leaves the zero eigenvalues of a low-rank B Bᵀ slightly negative
+    if eig.min() <= 0 and not (semidefinite and eig.min() >= -1e-12 * max(1.0, np.abs(eig).max())):
+        raise ValueError(f"{name} must be positive {'semi' if semidefinite else ''}definite")
     return mat
 
 
@@ -99,9 +102,7 @@ class MpcConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        Q = np.atleast_2d(np.asarray(self.state_weight, dtype=float))
-        if not np.allclose(Q, Q.T, atol=1e-12) or np.linalg.eigvalsh(Q).min() < 0:
-            raise ValueError("state_weight must be symmetric positive semidefinite")
+        Q = _require_spd(self.state_weight, "state_weight", semidefinite=True)
         R = _require_spd(self.input_weight, "input_weight")
         lo = np.atleast_1d(np.asarray(self.u_min, dtype=float))
         hi = np.atleast_1d(np.asarray(self.u_max, dtype=float))
@@ -128,6 +129,9 @@ def default_mpc_config(order: int, input_dim: int = 1) -> MpcConfig:
     )
 
 
+STEADY_STATE_TOL = 1e-8  # residual norm bound of solve_steady_state, checked by ReferencePair
+
+
 @dataclass(frozen=True)
 class ReferencePair:
     x_ref: np.ndarray
@@ -139,8 +143,8 @@ class ReferencePair:
         object.__setattr__(self, "x_ref", np.asarray(self.x_ref, dtype=float))
         object.__setattr__(self, "u_ref", np.asarray(self.u_ref, dtype=float))
         object.__setattr__(self, "target", np.atleast_1d(np.asarray(self.target, dtype=float)))
-        if not self.residual_norm <= 1e-8:
-            raise ValueError(f"steady-state residual {self.residual_norm:.3e} exceeds 1e-8")
+        if not self.residual_norm <= STEADY_STATE_TOL:
+            raise ValueError(f"steady-state residual {self.residual_norm:.3e} exceeds {STEADY_STATE_TOL:g}")
 
 
 def _unwrap(model) -> SsnnModel:
@@ -185,17 +189,16 @@ def solve_steady_state(
     model,
     target,
     u_bounds=(-1.0, 0.0),
-    tol: float = 1e-8,
     max_iterations: int = 60,
     n_starts: int = 5,
-    seed: int = 0,
 ) -> ReferencePair:
     """State/input pair holding the model at the target output.
 
     Newton iteration on the stacked residual (output mismatch and state
-    fixed-point defect) from several seeded starts; among converged solutions
-    one with the input inside ``u_bounds`` is preferred when it exists.
-    ``u_bounds`` is a ``(lower, upper)`` pair of scalars or of per-input arrays.
+    fixed-point defect) from ``n_starts`` starts (box centre, then seed-0
+    draws) to a residual norm of ``STEADY_STATE_TOL``; a converged input inside
+    ``u_bounds``, a ``(lower, upper)`` pair of scalars or per-input arrays, is
+    preferred.  Raises ``SteadyStateError`` if no start converges.
     """
     net = _unwrap(model)
     s, m, p = net.state_dim, net.input_dim, net.output_dim
@@ -215,7 +218,7 @@ def solve_steady_state(
         jac[p:, s:] = -jf[:, s:]
         return r, jac
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     lo, hi = (np.asarray(b, dtype=float) for b in u_bounds)
     starts = [(np.zeros(s), np.full(m, 0.5 * (lo + hi)))]
     for _ in range(n_starts - 1):
@@ -227,7 +230,7 @@ def solve_steady_state(
         r, jac = residual_and_jac(x, u)
         norm = float(np.linalg.norm(r))
         for _ in range(max_iterations):
-            if norm <= tol:
+            if norm <= STEADY_STATE_TOL:
                 break
             try:
                 if p == m:
@@ -250,7 +253,7 @@ def solve_steady_state(
                 step *= 0.5
             if not improved:
                 break
-        if norm <= tol:
+        if norm <= STEADY_STATE_TOL:
             in_bounds = bool(np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12))
             solutions.append((in_bounds, norm, x, u))
 
@@ -308,14 +311,16 @@ def _mpc_cost_grad(net: SsnnModel, x0, useq, refs: ReferencePair, Q, R):
     return cost, grad
 
 
+MPC_TOL = 1e-8  # absolute projected-gradient bound, near what the Armijo test still resolves
+MPC_MAX_ITERATIONS = 150  # caps a stall; Gauss–Newton takes a median 2 steps on the CSTR loop
+
+
 def mpc_solve(
     model,
     x_hat: np.ndarray,
     refs: ReferencePair,
     cfg: MpcConfig,
     initial_sequence: np.ndarray | None = None,
-    max_iterations: int = 150,
-    tol: float = 1e-8,
 ) -> MpcSolution:
     """Minimize the tracking cost over the input moves inside the box.
 
@@ -323,9 +328,10 @@ def mpc_solve(
     backtracking along the projected arc.  Each iteration holds every move
     that sits at a bound with ``-g`` pointing out of the box (its step is
     ``-g``, which the projection cancels) and takes the Gauss–Newton step
-    on the free moves.  The returned sequence
-    satisfies the bounds exactly.  If the iteration stalls the best feasible
-    iterate is returned with ``converged=False``.
+    on the free moves, until the projected gradient ``u - P(u - g)`` has
+    norm ``MPC_TOL`` or ``MPC_MAX_ITERATIONS`` steps are taken.  The returned
+    sequence satisfies the bounds exactly.  If the iteration stalls the best
+    feasible iterate is returned with ``converged=False``.
     """
     net = _unwrap(model)
     m, horizon = net.input_dim, cfg.horizon
@@ -341,9 +347,9 @@ def mpc_solve(
     cost, grad, hess = _mpc_sensitivities(net, x_hat, useq, refs, Q, R)
     converged = False
     iterations = 0
-    while iterations < max_iterations:
+    while iterations < MPC_MAX_ITERATIONS:
         projected_residual = useq - np.clip(useq - grad, lo, hi)
-        if float(np.linalg.norm(projected_residual)) <= tol:
+        if float(np.linalg.norm(projected_residual)) <= MPC_TOL:
             converged = True
             break
 

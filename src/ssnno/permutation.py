@@ -54,15 +54,3 @@ def permute_model(model: SsnnModel, index: PermutationIndex) -> SsnnModel:
         raise ValueError(f"permutation has dimension {index.dim}, model has {model.state_dim} states")
     return select_states(model, index.z)
 
-
-def permuted_loss_check(model: SsnnModel, data, weights, index: PermutationIndex):
-    """Loss breakdowns of a model and of its permuted twin.
-
-    For the variance-sort index the prediction and parameter terms agree up
-    to roundoff while the variance term of the permuted model is no larger.
-    """
-    from .training import loss
-
-    original = loss(model, data, weights)
-    permuted = loss(permute_model(model, index), data, weights)
-    return original, permuted

@@ -84,23 +84,14 @@ class LossBreakdown:
 @dataclass(frozen=True)
 class TrainConfig:
     max_iterations: int = 1000
-    gradient_tolerance: float = 1e-6
-    lbfgs_memory: int = 10
-    c1: float = 1e-4
-    c2: float = 0.9
     max_backtracks: int = 30
     seed: int = 0
     init_scale: float = 0.5
     baseline_mode: BaselineMode = BaselineMode.SSNNO
-    max_outer_passes: int = 10
 
     def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
-        if not (0.0 < self.c1 < self.c2 < 1.0):
-            raise ValueError("need 0 < c1 < c2 < 1")
-        if self.lbfgs_memory < 1 or self.max_backtracks < 1 or self.max_outer_passes < 1:
-            raise ValueError("lbfgs_memory, max_backtracks and max_outer_passes must be positive")
+        if self.max_iterations < 0 or self.max_backtracks < 1:
+            raise ValueError("need max_iterations >= 0 and max_backtracks >= 1")
 
 
 @dataclass(frozen=True)
@@ -198,6 +189,12 @@ def loss(model: SsnnModel, data: Dataset, weights: LossWeights) -> LossBreakdown
     return bd
 
 
+def permuted_loss_check(model: SsnnModel, data: Dataset, weights: LossWeights, index: _perm.PermutationIndex):
+    """Loss breakdowns of a model and of its permuted twin; for the variance-sort
+    index only the variance term may change, and it can only decrease."""
+    return loss(model, data, weights), loss(_perm.permute_model(model, index), data, weights)
+
+
 def loss_gradient(model: SsnnModel, data: Dataset, weights: LossWeights) -> np.ndarray:
     """Exact gradient of the total loss with respect to the flat parameter vector."""
     U, Y = data.U_train, data.Y_train
@@ -206,7 +203,12 @@ def loss_gradient(model: SsnnModel, data: Dataset, weights: LossWeights) -> np.n
     return grad
 
 
-# --- L-BFGS with strong-Wolfe line search ---------------------------------------
+# --- L-BFGS with strong-Wolfe line search (Nocedal & Wright, §3.1 and ch. 7) ---
+
+GRADIENT_TOLERANCE = 1e-6  # absolute; the training losses are sums of squares of order 1-10
+LBFGS_MEMORY = 10  # curvature pairs kept; 3-20 is the usual range
+WOLFE_C1 = 1e-4  # sufficient decrease; small, so a step that lowers the loss is rarely refused
+WOLFE_C2 = 0.9  # curvature; the usual value for quasi-Newton directions
 
 
 def _two_loop(grad, mem):
@@ -236,13 +238,13 @@ def _minimize(fg, theta0, config: TrainConfig):
         raise DivergenceError(0, "initial parameters produce a divergent simulation")
     history = [bd]
     grad_norms = [float(np.linalg.norm(g))]
-    mem: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=config.lbfgs_memory)
+    mem: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
     converged = False
     iterations = 0
 
     for it in range(config.max_iterations):
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= config.gradient_tolerance:
+        if gnorm <= GRADIENT_TOLERANCE:
             converged = True
             break
         direction = -_two_loop(g, mem)
@@ -252,7 +254,7 @@ def _minimize(fg, theta0, config: TrainConfig):
             direction = -g
             dg = -float(g @ g)
         a_init = 1.0 if mem else min(1.0, 1.0 / max(gnorm, 1e-12))
-        step = _wolfe_search(fg, theta, direction, f, dg, a_init, config)
+        step = _wolfe_search(fg, theta, direction, f, dg, a_init, config.max_backtracks)
         if step is None:
             break
         a, f_new, bd_new, g_new = step
@@ -268,15 +270,14 @@ def _minimize(fg, theta0, config: TrainConfig):
         iterations = it + 1
 
     final_gnorm = float(np.linalg.norm(g))
-    if config.max_iterations > 0 and final_gnorm <= config.gradient_tolerance:
+    if config.max_iterations > 0 and final_gnorm <= GRADIENT_TOLERANCE:
         converged = True
     return theta, history, grad_norms, iterations, converged, final_gnorm
 
 
-def _wolfe_search(fg, theta, direction, f0, dphi0, a_init, config: TrainConfig):
+def _wolfe_search(fg, theta, direction, f0, dphi0, a_init, max_backtracks: int):
     """Strong-Wolfe step: sufficient decrease and curvature |phi'| <= c2 |phi'(0)|."""
-    c1, c2 = config.c1, config.c2
-    budget = [config.max_backtracks]
+    budget = [max_backtracks]
 
     def phi(a):
         budget[0] -= 1
@@ -291,10 +292,10 @@ def _wolfe_search(fg, theta, direction, f0, dphi0, a_init, config: TrainConfig):
             # quadratic model from (f_lo, dphi_lo, f_hi) is fragile near inf; bisect
             a = 0.5 * (a_lo + a_hi)
             f_a, bd, g, dphi = phi(a)
-            if not np.isfinite(f_a) or f_a > f0 + c1 * a * dphi0 or f_a >= f_lo:
+            if not np.isfinite(f_a) or f_a > f0 + WOLFE_C1 * a * dphi0 or f_a >= f_lo:
                 a_hi = a
             else:
-                if abs(dphi) <= -c2 * dphi0:
+                if abs(dphi) <= -WOLFE_C2 * dphi0:
                     return a, f_a, bd, g
                 if dphi * (a_hi - a_lo) >= 0:
                     a_hi = a_lo
@@ -306,9 +307,9 @@ def _wolfe_search(fg, theta, direction, f0, dphi0, a_init, config: TrainConfig):
     first = True
     while budget[0] > 0:
         f_a, bd, g, dphi = phi(a)
-        if not np.isfinite(f_a) or f_a > f0 + c1 * a * dphi0 or (not first and f_a >= f_prev):
+        if not np.isfinite(f_a) or f_a > f0 + WOLFE_C1 * a * dphi0 or (not first and f_a >= f_prev):
             return zoom(a_prev, f_prev, dphi_prev, a)
-        if abs(dphi) <= -c2 * dphi0:
+        if abs(dphi) <= -WOLFE_C2 * dphi0:
             return a, f_a, bd, g
         if dphi >= 0:
             return zoom(a, f_a, dphi, a_prev)
@@ -384,6 +385,9 @@ def train(
     )
 
 
+MAX_OUTER_PASSES = 10  # each pass starts from a strictly lower loss; this only bounds the loop
+
+
 def repair_variance_ordering(
     data: Dataset,
     weights: LossWeights,
@@ -417,7 +421,7 @@ def repair_variance_ordering(
         f_til, bd_til, g_til = fg(flatten_params(permuted))
         history.append(bd_til)
         grad_norms.append(float(np.linalg.norm(g_til)))
-        if not (j_hat - f_til > 0.0) or passes >= config.max_outer_passes:
+        if not (j_hat - f_til > 0.0) or passes >= MAX_OUTER_PASSES:
             final_stats = variance_stats(simulate(permuted, U).states)
             return TrainReport(
                 model=permuted,

@@ -196,6 +196,26 @@ def test_reference_pair_rejects_large_residual():
                         residual_norm=1e-5)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), init_scale=st.floats(0.4, 0.8),
+       target=st.floats(-0.99, 0.99), reachable=st.booleans())
+def test_steady_state_returns_a_converged_pair_or_raises_steady_state_error(seed, d, init_scale, target,
+                                                                             reachable):
+    rng = np.random.default_rng(seed)
+    net = s.random_model(s.SsnnArchitecture(d, 1, 1, (3, d), (2, 1)), rng, init_scale=init_scale)
+    if reachable:
+        # most random targets have no steady state; the output where a constant input settles has one
+        x, u = np.zeros(d), rng.uniform(-1, 0, 1)
+        for _ in range(200):
+            x = s.state_step(net, x, u)
+        target = float(np.clip(s.output_map(net, x)[0], -0.99, 0.99))
+    try:
+        ref = s.solve_steady_state(net, target)
+    except ec.SteadyStateError:
+        return
+    assert ref.residual_norm <= ec.STEADY_STATE_TOL
+
+
 def two_input_model():
     """x+ = 0.5 x + 0.25 (u1 + u2), y = x: steady state at y_t needs u1 + u2 = 2 y_t."""
     arch = s.SsnnArchitecture(1, 2, 1, (1,), (1,))
@@ -230,6 +250,31 @@ def test_closed_loop_references_lie_in_every_input_box(monkeypatch):
 
 
 # --- MPC -------------------------------------------------------------------------
+
+
+def test_mpc_config_accepts_rank_one_state_weights():
+    # B Bᵀ has zero eigenvalues that roundoff leaves slightly negative
+    rng = np.random.default_rng(67)
+    for _ in range(200):
+        B = rng.standard_normal((3, 1))
+        cfg = s.MpcConfig(horizon=2, state_weight=B @ B.T)
+        assert np.array_equal(cfg.state_weight, B @ B.T)
+
+
+def test_mpc_config_rejects_non_square_state_weight_as_usage_error():
+    # the CLI maps LinAlgError (a ValueError subclass) to the numerical-failure exit code
+    with pytest.raises(ValueError, match="square") as exc:
+        s.MpcConfig(state_weight=np.ones((1, 3)))
+    assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+
+def test_configs_reject_non_finite_weights():
+    # eigvalsh maps an infinite entry to inf or nan eigenvalues, which a sign test lets through
+    inf = np.diag([np.inf, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        s.MpcConfig(state_weight=inf)
+    with pytest.raises(ValueError, match="finite"):
+        s.EkfConfig(process_cov=inf, measurement_cov=np.eye(1), initial_cov=np.eye(2))
 
 
 def test_mpc_at_reference_fixed_point_costs_nothing():
