@@ -172,7 +172,7 @@ def cmd_train(args) -> int:
         training.LossWeights(alpha=args.alpha, beta=args.beta, w=np.asarray(w))
         if w else training.LossWeights.default(args.d, args.alpha, args.beta)
     )
-    mode = training.BaselineMode.SSNNO if args.mode == "ssnno" else training.BaselineMode.SSNN_SPE_ONLY
+    mode = training.BaselineMode(args.mode)
     config = training.TrainConfig(
         max_iterations=args.max_iter, seed=args.seed, init_scale=args.init_scale, baseline_mode=mode
     )
@@ -254,7 +254,7 @@ def _mc_cell(cell_args):
     data = benchmark.generate_dataset(benchmark.CstrParams(), sim, U, split_index=split)
     arch = _build_arch(d, 1, "3", "3")
     weights = training.LossWeights.default(d, 0.0025, 0.25)
-    mode = training.BaselineMode.SSNNO if mode_name == "ssnno" else training.BaselineMode.SSNN_SPE_ONLY
+    mode = training.BaselineMode(mode_name)
     config = training.TrainConfig(max_iterations=max_iter, seed=seed, baseline_mode=mode)
     try:
         report = training.train(data, arch, weights, config)

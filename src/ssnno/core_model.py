@@ -141,17 +141,10 @@ class SsnnArchitecture:
         return (self.state_dim,) + self.output_layer_widths[:-1]
 
     @property
-    def n_state_params(self) -> int:
-        return sum(w * f + w for w, f in zip(self.state_layer_widths, self.state_fan_ins))
-
-    @property
-    def n_output_params(self) -> int:
-        return sum(w * f + w for w, f in zip(self.output_layer_widths, self.output_fan_ins))
-
-    @property
     def n_params(self) -> int:
         """Full parameter count: both subnetworks plus the initial state."""
-        return self.n_state_params + self.n_output_params + self.state_dim
+        widths = self.state_layer_widths + self.output_layer_widths
+        return sum(w * f + w for w, f in zip(widths, self.state_fan_ins + self.output_fan_ins)) + self.state_dim
 
 
 def default_activations(n_layers: int) -> tuple[ActivationKind, ...]:
@@ -527,9 +520,8 @@ def unflatten_params(
 
 def random_model(arch: SsnnArchitecture, rng: np.random.Generator, init_scale: float = 0.5) -> SsnnModel:
     """Uniform random weights/biases in [-init_scale, init_scale]; x0 = 0."""
-    n_net = arch.n_state_params + arch.n_output_params
     theta = np.concatenate([
-        rng.uniform(-init_scale, init_scale, size=n_net),
+        rng.uniform(-init_scale, init_scale, size=arch.n_params - arch.state_dim),
         np.zeros(arch.state_dim),
     ])
     return unflatten_params(arch, theta)
@@ -574,20 +566,23 @@ def model_from_dict(doc: dict) -> SsnnModel:
     version = doc.get("version")
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model document version: {version!r}")
-    a = doc["arch"]
-    arch = SsnnArchitecture(
-        state_dim=a["state_dim"],
-        input_dim=a["input_dim"],
-        output_dim=a["output_dim"],
-        state_layer_widths=tuple(a["state_layer_widths"]),
-        output_layer_widths=tuple(a["output_layer_widths"]),
-    )
-    return SsnnModel(
-        arch=arch,
-        state_layers=tuple(_layer_from_dict(l) for l in doc["state_layers"]),
-        output_layers=tuple(_layer_from_dict(l) for l in doc["output_layers"]),
-        x0=np.array(doc["x0"], dtype=float),
-    )
+    try:
+        a = doc["arch"]
+        arch = SsnnArchitecture(
+            state_dim=a["state_dim"],
+            input_dim=a["input_dim"],
+            output_dim=a["output_dim"],
+            state_layer_widths=tuple(a["state_layer_widths"]),
+            output_layer_widths=tuple(a["output_layer_widths"]),
+        )
+        return SsnnModel(
+            arch=arch,
+            state_layers=tuple(_layer_from_dict(l) for l in doc["state_layers"]),
+            output_layers=tuple(_layer_from_dict(l) for l in doc["output_layers"]),
+            x0=np.array(doc["x0"], dtype=float),
+        )
+    except KeyError as exc:
+        raise ValueError(f"model document has no {exc.args[0]!r} entry") from None
 
 
 def save_model(model: SsnnModel, path: str | Path) -> None:

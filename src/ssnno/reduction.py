@@ -132,13 +132,16 @@ def reduced_from_dict(doc: dict) -> ReducedModel:
         )
     inner = dict(doc)
     inner["version"] = MODEL_SCHEMA_VERSION
-    info = doc["reduction"]
-    return ReducedModel(
-        model=model_from_dict(inner),
-        delta=float(info["delta"]),
-        residual_mean=np.asarray(info["residual_mean"], dtype=float),
-        source_order=int(info["source_order"]),
-    )
+    try:
+        info = doc["reduction"]
+        return ReducedModel(
+            model=model_from_dict(inner),
+            delta=float(info["delta"]),
+            residual_mean=np.asarray(info["residual_mean"], dtype=float),
+            source_order=int(info["source_order"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"reduced-model document has no {exc.args[0]!r} entry") from None
 
 
 def save_reduced(rm: ReducedModel, path: str | Path) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -122,38 +122,28 @@ def _check_data(arch: SsnnArchitecture, U: np.ndarray, Y: np.ndarray, weights: L
         raise ValueError("variance weights do not match the state dimension")
 
 
-def _param_term(model: SsnnModel) -> float:
-    return float(sum((l.weights * l.weights).sum() + (l.bias * l.bias).sum() for l in model.output_layers))
-
-
-def _breakdown(model, X, Yhat, Y, w, alpha, beta) -> LossBreakdown:
-    r = Yhat - Y
-    spe = float((r * r).sum())
-    centered = X - X.mean(axis=1)[:, None]
-    jv = float((w[:, None] * centered * centered).sum())
-    jg = _param_term(model)
-    return LossBreakdown(total=spe + alpha * jv + beta * jg, spe=spe, variance_term=jv, param_term=jg)
-
-
 def _loss_and_gradient(model: SsnnModel, U, Y, w, alpha, beta, need_grad=True):
     d = model.state_dim
     X = rollout(model, U)
     g_cache = output_values(model, X)
-    Yhat = g_cache[-1]
     # overflow shows as a non-finite total, which the objective reads as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        bd = _breakdown(model, X, Yhat, Y, w, alpha, beta)
+        r = g_cache[-1] - Y
+        centered = X - X.mean(axis=1)[:, None]
+        spe = float((r * r).sum())
+        jv = float((w[:, None] * centered * centered).sum())
+        jg = float(sum((l.weights * l.weights).sum() + (l.bias * l.bias).sum() for l in model.output_layers))
+        bd = LossBreakdown(total=spe + alpha * jv + beta * jg, spe=spe, variance_term=jv, param_term=jg)
         if not need_grad:
             return bd, None
 
         # direct dependence of the loss on each state column (variance path);
         # the mean-centering term cancels exactly
-        centered = X - X.mean(axis=1)[:, None]
         G_X = 2.0 * alpha * (w[:, None] * centered)
 
         # output subnetwork, batched over columns
         g_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.output_layers]
-        G_X += chain_vjp(model.output_layers, g_cache, 2.0 * (Yhat - Y), g_grads)
+        G_X += chain_vjp(model.output_layers, g_cache, 2.0 * r, g_grads)
         for (gw, gb), layer in zip(g_grads, model.output_layers):
             gw += 2.0 * beta * layer.weights
             gb += 2.0 * beta * layer.bias
@@ -239,13 +229,11 @@ def _minimize(fg, theta0, config: TrainConfig):
     history = [bd]
     grad_norms = [float(np.linalg.norm(g))]
     mem: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
-    converged = False
     iterations = 0
 
     for it in range(config.max_iterations):
-        gnorm = float(np.linalg.norm(g))
+        gnorm = grad_norms[-1]
         if gnorm <= GRADIENT_TOLERANCE:
-            converged = True
             break
         direction = -_two_loop(g, mem)
         dg = float(direction @ g)
@@ -269,10 +257,8 @@ def _minimize(fg, theta0, config: TrainConfig):
         grad_norms.append(float(np.linalg.norm(g)))
         iterations = it + 1
 
-    final_gnorm = float(np.linalg.norm(g))
-    if config.max_iterations > 0 and final_gnorm <= GRADIENT_TOLERANCE:
-        converged = True
-    return theta, history, grad_norms, iterations, converged, final_gnorm
+    converged = config.max_iterations > 0 and grad_norms[-1] <= GRADIENT_TOLERANCE
+    return theta, history, grad_norms, iterations, converged
 
 
 def _wolfe_search(fg, theta, direction, f0, dphi0, a_init, max_backtracks: int):
@@ -322,12 +308,6 @@ def _wolfe_search(fg, theta, direction, f0, dphi0, a_init, max_backtracks: int):
 # --- training and the ordered-variance repair loop ------------------------------
 
 
-def _effective_terms(weights: LossWeights, config: TrainConfig) -> tuple[float, float]:
-    if config.baseline_mode is BaselineMode.SSNN_SPE_ONLY:
-        return 0.0, 0.0
-    return weights.alpha, weights.beta
-
-
 def _make_objective(arch, U, Y, w, alpha, beta, state_acts, output_acts):
     def fg(theta):
         if not np.isfinite(theta).all():
@@ -356,6 +336,7 @@ def train(
     parameters with a zero initial state.  In the SPE-only baseline mode the
     variance and parameter terms are dropped from the optimized objective
     (and from the recorded history, so the history total stays monotone).
+    With ``max_iterations=0`` the report evaluates ``initial`` as it is.
     """
     U, Y = data.U_train, data.Y_train
     _check_data(arch, U, Y, weights)
@@ -364,24 +345,22 @@ def train(
     elif initial.arch != arch:
         raise ValueError("initial model architecture does not match the requested one")
 
-    alpha, beta = _effective_terms(weights, config)
+    spe_only = config.baseline_mode is BaselineMode.SSNN_SPE_ONLY
+    alpha, beta = (0.0, 0.0) if spe_only else (weights.alpha, weights.beta)
     state_acts = tuple(l.activation for l in initial.state_layers)
     output_acts = tuple(l.activation for l in initial.output_layers)
     fg = _make_objective(arch, U, Y, weights.w, alpha, beta, state_acts, output_acts)
 
-    theta, history, grad_norms, iterations, converged, gnorm = _minimize(
-        fg, flatten_params(initial), config
-    )
+    theta, history, grad_norms, iterations, converged = _minimize(fg, flatten_params(initial), config)
     model = unflatten_params(arch, theta, state_acts, output_acts)
-    stats = variance_stats(simulate(model, U).states)
     return TrainReport(
         model=model,
         loss_history=tuple(history),
         gradient_norms=tuple(grad_norms),
         iterations=iterations,
         converged=converged,
-        gradient_norm=gnorm,
-        stats=stats,
+        gradient_norm=grad_norms[-1],
+        stats=variance_stats(simulate(model, U).states),
     )
 
 
@@ -401,43 +380,26 @@ def repair_variance_ordering(
     permutation step is loss-non-increasing; retraining from the permuted
     parameters is attempted whenever the permutation strictly lowered the
     loss.  The returned model always has non-increasing state variances.
+
+    Each pass is a ``train`` call followed by a zero-iteration ``train`` of
+    the permuted twin, whose report gives the twin's loss, gradient norm and
+    variances.  The history concatenates every pass's entries and the twin's.
     """
-    U = data.U_train
-    report = train(data, initial.arch, weights, config, initial=initial)
-    history = list(report.loss_history)
-    grad_norms = list(report.gradient_norms)
-    iterations = report.iterations
-
-    alpha, beta = _effective_terms(weights, config)
-    state_acts = tuple(l.activation for l in initial.state_layers)
-    output_acts = tuple(l.activation for l in initial.output_layers)
-    fg = _make_objective(initial.arch, U, data.Y_train, weights.w, alpha, beta, state_acts, output_acts)
-
-    passes = 1
-    while True:
-        z = _perm.variance_sort_index(report.stats)
-        permuted = _perm.permute_model(report.model, z)
-        j_hat = history[-1].total
-        f_til, bd_til, g_til = fg(flatten_params(permuted))
-        history.append(bd_til)
-        grad_norms.append(float(np.linalg.norm(g_til)))
-        if not (j_hat - f_til > 0.0) or passes >= MAX_OUTER_PASSES:
-            final_stats = variance_stats(simulate(permuted, U).states)
-            return TrainReport(
-                model=permuted,
-                loss_history=tuple(history),
-                gradient_norms=tuple(grad_norms),
-                iterations=iterations,
-                converged=report.converged,
-                gradient_norm=report.gradient_norm,
-                stats=final_stats,
-                outer_passes=passes,
-            )
-        report = train(data, initial.arch, weights, config, initial=permuted)
-        history.extend(report.loss_history)
-        grad_norms.extend(report.gradient_norms)
+    evaluate_only = replace(config, max_iterations=0)
+    history, grad_norms, iterations = (), (), 0
+    for passes in range(1, MAX_OUTER_PASSES + 1):
+        report = train(data, initial.arch, weights, config, initial=initial)
+        initial = _perm.permute_model(report.model, _perm.variance_sort_index(report.stats))
+        twin = train(data, initial.arch, weights, evaluate_only, initial=initial)
+        history += report.loss_history + twin.loss_history
+        grad_norms += report.gradient_norms + twin.gradient_norms
         iterations += report.iterations
-        passes += 1
+        if not (report.loss_history[-1].total - twin.loss_history[0].total > 0.0):
+            break
+    return replace(
+        twin, loss_history=history, gradient_norms=grad_norms, iterations=iterations,
+        converged=report.converged, gradient_norm=report.gradient_norm, outer_passes=passes,
+    )
 
 
 def export_history_csv(report: TrainReport, path: str | Path) -> None:

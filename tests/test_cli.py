@@ -378,3 +378,40 @@ def test_montecarlo_without_noise_levels_is_usage_error(tmp_path, capsys):
     assert code == cli.USAGE_EXIT
     assert "--noise-levels" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_model_file_without_arch_is_usage_error(quick_model_dir, tmp_path, capsys):
+    doc = json.loads((quick_model_dir / "model.json").read_text())
+    del doc["arch"]
+    broken = tmp_path / "model.json"
+    broken.write_text(json.dumps(doc))
+    code = run(["evaluate", "--model", str(broken), "--data", str(quick_model_dir / "ds.csv"),
+                "--out", str(tmp_path / "metrics.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "'arch'" in capsys.readouterr().err
+
+
+def test_reduced_file_without_reduction_is_usage_error(tmp_path, capsys):
+    rm_path = Path(__file__).parents[1] / "benchmarks" / "fixture" / "reduced_model.json"
+    doc = json.loads(rm_path.read_text())
+    del doc["reduction"]
+    broken = tmp_path / "rm.json"
+    broken.write_text(json.dumps(doc))
+    code = run(["mpc", "--reduced-model", str(broken), "--steps", "4", "--out", str(tmp_path / "log.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "'reduction'" in capsys.readouterr().err
+
+
+def test_failed_closed_loop_keeps_the_completed_steps(tmp_path, capsys):
+    # the second level cannot be reached from the input box, so the loop fails when it starts
+    rm_path = Path(__file__).parents[1] / "benchmarks" / "fixture" / "reduced_model.json"
+    out = tmp_path / "log.csv"
+    code = run(["mpc", "--reduced-model", str(rm_path), "--steps", "20", "--targets", "0.5,5.0",
+                "--out", str(out)])
+    assert code == cli.NUMERIC_EXIT
+    assert "closed loop failed at step 10" in capsys.readouterr().err
+    rows = list(csv.DictReader(out.open()))
+    assert [int(r["k"]) for r in rows] == list(range(10))
+    manifest = json.loads((tmp_path / "log.csv.manifest.json").read_text())
+    assert [o["path"] for o in manifest["outputs"]] == [str(out)]
+    assert manifest["outputs"][0]["sha256"] == sha(out)

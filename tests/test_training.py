@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +271,42 @@ def test_repair_orders_and_never_increases_loss():
         assert s.is_variance_ordered(report.stats, 1e-12)
         totals = [bd.total for bd in report.loss_history]
         assert all(b <= a + 1e-9 for a, b in zip(totals, totals[1:]))
+
+
+@pytest.fixture(scope="module")
+def two_pass_repair():
+    """A repair run on a short CSTR data set that needs a second training pass."""
+    U = s.generate_input(seed=7, n_samples=360, n_steps=18, train_window=200)
+    data = s.generate_dataset(s.CstrParams(), s.SimConfig(horizon=360, seed=7), U, split_index=200)
+    arch = s.SsnnArchitecture(3, 1, 1, (3, 3), (3, 1))
+    weights = s.LossWeights.default(3, 0.0025, 0.25)
+    cfg = s.TrainConfig(max_iterations=40, seed=7)
+    initial = s.random_model(arch, np.random.default_rng(7), cfg.init_scale)
+    return data, weights, cfg, initial, s.repair_variance_ordering(data, weights, cfg, initial)
+
+
+def test_repair_report_describes_its_returned_model(two_pass_repair):
+    data, weights, _, _, report = two_pass_repair
+    assert report.outer_passes >= 2
+    assert report.loss_history[-1] == s.loss(report.model, data, weights)
+    stats = s.variance_stats(s.simulate(report.model, data.U_train).states)
+    for field in ("mean", "covariance", "variances"):
+        assert np.array_equal(getattr(report.stats, field), getattr(stats, field))
+    assert len(report.gradient_norms) == len(report.loss_history)
+
+
+def test_repair_of_a_divergent_twin_is_a_divergence_error(two_pass_repair, monkeypatch):
+    data, weights, cfg, initial, _ = two_pass_repair
+    permute = s.training._perm.permute_model
+
+    def blown_up(model, index):
+        twin = permute(model, index)
+        layers = tuple(replace(l, weights=1e300 * l.weights) for l in twin.output_layers)
+        return replace(twin, output_layers=layers)
+
+    monkeypatch.setattr(s.training._perm, "permute_model", blown_up)
+    with pytest.raises(s.DivergenceError):
+        s.repair_variance_ordering(data, weights, cfg, initial)
 
 
 def test_starved_line_search_returns_best_iterate():
