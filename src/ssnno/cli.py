@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -371,6 +372,7 @@ def cmd_mpc(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
+@functools.cache  # built once per process, however many commands main runs in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ssnno", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

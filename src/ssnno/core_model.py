@@ -40,17 +40,6 @@ class ActivationKind(Enum):
     TANH = "tanh"
     LINEAR = "linear"
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        if self is ActivationKind.TANH:
-            return np.tanh(z)
-        return z
-
-    def derivative_from_output(self, out: np.ndarray) -> np.ndarray:
-        """Elementwise activation derivative expressed through the activation output."""
-        if self is ActivationKind.TANH:
-            return 1.0 - out * out
-        return np.ones_like(out)
-
 
 def _as_matrix(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
@@ -240,8 +229,10 @@ def chain_forward(layers, value: np.ndarray) -> list[np.ndarray]:
     """
     values = [value]
     for layer in layers:
-        bias = layer.bias if value.ndim == 1 else layer.bias[:, None]
-        value = layer.activation.apply(layer.weights @ value + bias)
+        value = layer.weights @ value
+        value += layer.bias if value.ndim == 1 else layer.bias[:, None]
+        if layer.activation is ActivationKind.TANH:
+            np.tanh(value, out=value)
         values.append(value)
     return values
 
@@ -257,7 +248,11 @@ def chain_vjp(layers, values, cotangent: np.ndarray, grads=None) -> np.ndarray:
     delta = cotangent
     for i in reversed(range(len(layers))):
         layer = layers[i]
-        dpre = delta * layer.activation.derivative_from_output(values[i + 1])
+        if layer.activation is ActivationKind.TANH:
+            out = values[i + 1]
+            dpre = delta * (1.0 - out * out)
+        else:  # C order, as a product would give: the sums below keep their order
+            dpre = np.ascontiguousarray(delta)
         if grads is not None:
             weight_grad, bias_grad = grads[i]
             if dpre.ndim == 1:
@@ -279,9 +274,15 @@ def chain_jacobian(layers, value: np.ndarray, values=None) -> tuple[np.ndarray, 
     """
     if values is None:
         values = chain_forward(layers, value)
-    jac = np.eye(value.shape[0])
+    jac = None  # the identity, whose product with the first layer's weights is exact
     for layer, out in zip(layers, values[1:]):
-        jac = layer.activation.derivative_from_output(out).T[..., None] * (layer.weights @ jac)
+        jac = layer.weights if jac is None else layer.weights @ jac
+        if layer.activation is ActivationKind.TANH:
+            jac = (1.0 - out * out).T[..., None] * jac
+        elif jac is layer.weights:
+            # a linear first layer keeps its unit derivative: the product copies the
+            # weights and lays a batch's column axis out as later products expect
+            jac = np.ones_like(out).T[..., None] * jac
     return values[-1], jac
 
 
@@ -568,6 +569,8 @@ def model_from_dict(doc: dict) -> SsnnModel:
         raise ValueError(f"unsupported model document version: {version!r}")
     try:
         a = doc["arch"]
+        if not isinstance(a, dict):
+            raise ValueError(f"model document's 'arch' entry must be an object, not {type(a).__name__}")
         arch = SsnnArchitecture(
             state_dim=a["state_dim"],
             input_dim=a["input_dim"],

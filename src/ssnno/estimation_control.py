@@ -83,7 +83,7 @@ class EkfState:
     def __post_init__(self):
         x = np.asarray(self.estimate, dtype=float)
         P = np.atleast_2d(np.asarray(self.covariance, dtype=float))
-        if not np.allclose(P, P.T, atol=1e-9):
+        if not ((P == P.T).all() or np.allclose(P, P.T, atol=1e-9)):  # ekf_step's P is exactly symmetric
             raise ValueError("covariance must be symmetric")
         if np.linalg.eigvalsh(P).min() < -1e-10:
             raise ValueError("covariance must be positive semidefinite")
@@ -301,8 +301,9 @@ def _mpc_sensitivities(net: SsnnModel, x0, useq, refs: ReferencePair, Q, R):
     S = S.reshape(horizon * s, horizon * m)
     grad = 2.0 * (S.T @ Qe.ravel() + Rdu.ravel())
     hess = 2.0 * (S.T @ (Q @ S.reshape(horizon, s, -1)).reshape(horizon * s, -1))
-    steps = np.arange(horizon)
-    hess.reshape(horizon, m, horizon, m)[steps, :, steps, :] += 2.0 * R
+    R2 = 2.0 * R
+    for i in range(0, horizon * m, m):
+        hess[i : i + m, i : i + m] += R2
     return cost, grad.reshape(horizon, m).T, hess
 
 
@@ -337,10 +338,12 @@ def mpc_solve(
     m, horizon = net.input_dim, cfg.horizon
     lo = np.repeat(cfg.u_min[:, None], horizon, axis=1)
     hi = np.repeat(cfg.u_max[:, None], horizon, axis=1)
+    def project(u):  # np.clip's own formula, without its Python-level dispatch
+        return np.minimum(np.maximum(u, lo), hi)
     if initial_sequence is not None and initial_sequence.shape == (m, horizon):
-        useq = np.clip(initial_sequence, lo, hi)
+        useq = project(initial_sequence)
     else:
-        useq = np.clip(np.repeat(refs.u_ref[:, None], horizon, axis=1), lo, hi)
+        useq = project(np.repeat(refs.u_ref[:, None], horizon, axis=1))
     x_hat = np.asarray(x_hat, dtype=float)
     Q, R = cfg.state_weight, cfg.input_weight
 
@@ -348,7 +351,7 @@ def mpc_solve(
     converged = False
     iterations = 0
     while iterations < MPC_MAX_ITERATIONS:
-        projected_residual = useq - np.clip(useq - grad, lo, hi)
+        projected_residual = useq - project(useq - grad)
         if float(np.linalg.norm(projected_residual)) <= MPC_TOL:
             converged = True
             break
@@ -357,13 +360,13 @@ def mpc_solve(
         held = ((useq <= lo) & (grad > 0)) | ((useq >= hi) & (grad < 0))
         free = ~held.T.ravel()
         direction = -grad.T.ravel()
-        direction[free] = np.linalg.solve(hess[np.ix_(free, free)], direction[free])
+        direction[free] = np.linalg.solve(hess[free][:, free], direction[free])
         direction = direction.reshape(horizon, m).T
 
         accepted = None
         a = 1.0
         for _ in range(40):
-            trial = np.clip(useq + a * direction, lo, hi)
+            trial = project(useq + a * direction)
             step = trial - useq
             inner = float((grad * step).sum())
             if inner >= 0 or not step.any():

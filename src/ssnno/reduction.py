@@ -134,6 +134,8 @@ def reduced_from_dict(doc: dict) -> ReducedModel:
     inner["version"] = MODEL_SCHEMA_VERSION
     try:
         info = doc["reduction"]
+        if not isinstance(info, dict):
+            raise ValueError(f"reduced-model 'reduction' entry must be an object, not {type(info).__name__}")
         return ReducedModel(
             model=model_from_dict(inner),
             delta=float(info["delta"]),

@@ -153,21 +153,21 @@ def _loss_and_gradient(model: SsnnModel, U, Y, w, alpha, beta, need_grad=True):
         _, jac = chain_jacobian(model.state_layers, f_cache[0], f_cache)
         J = jac[:, :, :d]  # J[k] = dx_{k+1}/dx_k
 
-        # the costate recursion lam_k = G_X[:, k] + J_k^T lam_{k+1} is the only loop
-        Lam = np.empty_like(G_X)
-        Lam[:, -1] = lam = G_X[:, -1]
+        # the costate recursion lam_k = G_X[:, k] + J_k^T lam_{k+1} is the only loop;
+        # each costate is a contiguous row of a copy of G_Xᵀ, updated in place
+        Lam_rows = G_X.T.copy()
         for k in reversed(range(len(J))):
-            Lam[:, k] = lam = G_X[:, k] + J[k].T @ lam
+            Lam_rows[k] += Lam_rows[k + 1] @ J[k]
 
         # each step's state output carries the costate of the next step
         f_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.state_layers]
-        chain_vjp(model.state_layers, f_cache, Lam[:, 1:], f_grads)
+        chain_vjp(model.state_layers, f_cache, Lam_rows.T[:, 1:], f_grads)
 
     parts = []
     for gw, gb in f_grads + g_grads:
         parts.append(gw.ravel())
         parts.append(gb)
-    parts.append(lam)
+    parts.append(Lam_rows[0])
     return bd, np.concatenate(parts)
 
 

@@ -402,6 +402,28 @@ def test_reduced_file_without_reduction_is_usage_error(tmp_path, capsys):
     assert "'reduction'" in capsys.readouterr().err
 
 
+def test_model_file_with_a_list_for_arch_is_usage_error(quick_model_dir, tmp_path, capsys):
+    doc = json.loads((quick_model_dir / "model.json").read_text())
+    doc["arch"] = []
+    broken = tmp_path / "model.json"
+    broken.write_text(json.dumps(doc))
+    code = run(["evaluate", "--model", str(broken), "--data", str(quick_model_dir / "ds.csv"),
+                "--out", str(tmp_path / "metrics.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "'arch' entry must be an object, not list" in capsys.readouterr().err
+
+
+def test_reduced_file_with_a_list_for_reduction_is_usage_error(tmp_path, capsys):
+    rm_path = Path(__file__).parents[1] / "benchmarks" / "fixture" / "reduced_model.json"
+    doc = json.loads(rm_path.read_text())
+    doc["reduction"] = []
+    broken = tmp_path / "rm.json"
+    broken.write_text(json.dumps(doc))
+    code = run(["mpc", "--reduced-model", str(broken), "--steps", "4", "--out", str(tmp_path / "log.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "'reduction' entry must be an object, not list" in capsys.readouterr().err
+
+
 def test_failed_closed_loop_keeps_the_completed_steps(tmp_path, capsys):
     # the second level cannot be reached from the input box, so the loop fails when it starts
     rm_path = Path(__file__).parents[1] / "benchmarks" / "fixture" / "reduced_model.json"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ssnno as s
 from ssnno.core_model import ModelDimensionError
@@ -421,6 +421,82 @@ def test_chain_jacobian_batch_stacks_column_jacobians():
             out_k, jac_k = s.core_model.chain_jacobian(layers, V[:, k])
             assert np.allclose(out[:, k], out_k, rtol=0, atol=1e-15)
             assert np.allclose(jac[k], jac_k, rtol=0, atol=1e-14)
+
+
+# The kernel's formulas written plainly: an out-of-place forward pass, a Jacobian
+# started from the identity, and every layer's derivative multiplied in, ones
+# for a linear layer.  The kernel skips the exact steps and must match bitwise.
+
+
+def _plain_derivative(layer, out):
+    return 1.0 - out * out if layer.activation is s.ActivationKind.TANH else np.ones_like(out)
+
+
+def _plain_forward(layers, value):
+    values = [value]
+    for layer in layers:
+        bias = layer.bias if value.ndim == 1 else layer.bias[:, None]
+        z = layer.weights @ value + bias
+        value = np.tanh(z) if layer.activation is s.ActivationKind.TANH else z
+        values.append(value)
+    return values
+
+
+def _plain_jacobian(layers, value):
+    values = _plain_forward(layers, value)
+    jac = np.eye(value.shape[0])
+    for layer, out in zip(layers, values[1:]):
+        jac = _plain_derivative(layer, out).T[..., None] * (layer.weights @ jac)
+    return values[-1], jac
+
+
+def _plain_vjp(layers, values, cotangent, grads):
+    delta = cotangent
+    for i in reversed(range(len(layers))):
+        dpre = delta * _plain_derivative(layers[i], values[i + 1])
+        weight_grad, bias_grad = grads[i]
+        if dpre.ndim == 1:
+            weight_grad += np.outer(dpre, values[i])
+            bias_grad += dpre
+        else:
+            weight_grad += dpre @ values[i].T
+            bias_grad += dpre.sum(axis=1)
+        delta = layers[i].weights.T @ dpre
+    return delta
+
+
+@settings(max_examples=200, deadline=None)
+# a linear first layer, then a width-1 layer: the stacked Jacobian's memory layout decides its sums
+@example(seed=0, widths=[3, 5, 1], tanh=[False, True, True], columns=50, transposed_cotangent=False)
+@given(seed=st.integers(0, 2**32 - 1), widths=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+       tanh=st.lists(st.booleans(), min_size=3, max_size=3),
+       columns=st.one_of(st.none(), st.integers(1, 300)), transposed_cotangent=st.booleans())
+def test_chain_kernel_matches_plain_formulas_bitwise(seed, widths, tanh, columns, transposed_cotangent):
+    rng = np.random.default_rng(seed)
+    layers = tuple(
+        s.LayerParams(rng.uniform(-1, 1, (w, f)), rng.uniform(-1, 1, w),
+                      s.ActivationKind.TANH if t else s.ActivationKind.LINEAR)
+        for f, w, t in zip(widths, widths[1:], tanh)
+    )
+    shape = (widths[0],) if columns is None else (widths[0], columns)
+    value = rng.standard_normal(shape)
+    out_shape = (widths[-1],) + shape[1:]
+    if columns is not None and transposed_cotangent:  # a row-major costate array, as training passes
+        cotangent = rng.standard_normal((columns + 1, widths[-1])).T[:, 1:]
+    else:
+        cotangent = rng.standard_normal(out_shape)
+
+    values = s.core_model.chain_forward(layers, value)
+    plain_values = _plain_forward(layers, value)
+    assert all(np.array_equal(a, b) for a, b in zip(values, plain_values))
+    for got, want in zip(s.core_model.chain_jacobian(layers, value), _plain_jacobian(layers, value)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    grads, plain_grads = ([(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
+                          for _ in range(2))
+    delta = s.core_model.chain_vjp(layers, values, cotangent, grads)
+    assert np.array_equal(delta, _plain_vjp(layers, plain_values, cotangent, plain_grads))
+    for got, want in zip(grads, plain_grads):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @settings(max_examples=60, deadline=None)

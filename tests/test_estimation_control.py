@@ -145,6 +145,21 @@ def test_covariance_stays_symmetric_psd(reduced_order_two):
         assert np.linalg.eigvalsh(P).min() >= -1e-10
 
 
+def test_ekf_state_checks_its_covariance():
+    x = np.zeros(2)
+    P = np.diag([0.2, 0.1])
+    near = P.copy()
+    near[0, 1] = 1e-12  # roundoff-sized asymmetry: the tolerant comparison accepts it
+    assert s.EkfState(estimate=x, covariance=near).covariance is not None
+    for bad, message in (
+        (np.array([[0.2, np.nan], [np.nan, 0.1]]), "symmetric"),
+        (np.array([[0.2, 1e-8], [0.0, 0.1]]), "symmetric"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "semidefinite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            s.EkfState(estimate=x, covariance=bad)
+
+
 # --- steady state ------------------------------------------------------------------
 
 
