@@ -190,10 +190,6 @@ class Trajectory:
     states: np.ndarray  # (d, N)
     outputs: np.ndarray  # (p, N)
 
-    @property
-    def n_samples(self) -> int:
-        return self.states.shape[1]
-
 
 @dataclass(frozen=True)
 class VarianceStats:
@@ -586,6 +582,8 @@ def model_from_dict(doc: dict) -> SsnnModel:
         )
     except KeyError as exc:
         raise ValueError(f"model document has no {exc.args[0]!r} entry") from None
+    except (TypeError, OverflowError) as exc:  # e.g. a number where a list belongs, or Infinity
+        raise ValueError(f"model document has an entry of the wrong type or size: {exc}") from None
 
 
 def save_model(model: SsnnModel, path: str | Path) -> None:

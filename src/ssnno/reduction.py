@@ -144,6 +144,8 @@ def reduced_from_dict(doc: dict) -> ReducedModel:
         )
     except KeyError as exc:
         raise ValueError(f"reduced-model document has no {exc.args[0]!r} entry") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"reduced-model document has an entry of the wrong type or size: {exc}") from None
 
 
 def save_reduced(rm: ReducedModel, path: str | Path) -> None:

@@ -32,7 +32,7 @@ from .core_model import (
     output_values,
     random_model,
     rollout,
-    simulate,
+    simulate,  # unused here; benchmarks/tracing.py wraps training.simulate by name
     unflatten_params,
     variance_stats,
 )
@@ -122,7 +122,13 @@ def _check_data(arch: SsnnArchitecture, U: np.ndarray, Y: np.ndarray, weights: L
         raise ValueError("variance weights do not match the state dimension")
 
 
-def _loss_and_gradient(model: SsnnModel, U, Y, w, alpha, beta, need_grad=True):
+def _loss_and_gradient(model: SsnnModel, U, Y, w, alpha, beta):
+    """Loss breakdown, state sequence ``X`` and a deferred gradient.
+
+    The forward pass runs now.  Calling the returned ``gradient()`` finishes the
+    adjoint from the stored forward values, so a caller that only needs the
+    loss never pays for it.
+    """
     d = model.state_dim
     X = rollout(model, U)
     g_cache = output_values(model, X)
@@ -134,48 +140,50 @@ def _loss_and_gradient(model: SsnnModel, U, Y, w, alpha, beta, need_grad=True):
         jv = float((w[:, None] * centered * centered).sum())
         jg = float(sum((l.weights * l.weights).sum() + (l.bias * l.bias).sum() for l in model.output_layers))
         bd = LossBreakdown(total=spe + alpha * jv + beta * jg, spe=spe, variance_term=jv, param_term=jg)
-        if not need_grad:
-            return bd, None
 
-        # direct dependence of the loss on each state column (variance path);
-        # the mean-centering term cancels exactly
-        G_X = 2.0 * alpha * (w[:, None] * centered)
+    def gradient() -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # direct dependence of the loss on each state column (variance path);
+            # the mean-centering term cancels exactly
+            G_X = 2.0 * alpha * (w[:, None] * centered)
 
-        # output subnetwork, batched over columns
-        g_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.output_layers]
-        G_X += chain_vjp(model.output_layers, g_cache, 2.0 * r, g_grads)
-        for (gw, gb), layer in zip(g_grads, model.output_layers):
-            gw += 2.0 * beta * layer.weights
-            gb += 2.0 * beta * layer.bias
+            # output subnetwork, batched over columns
+            g_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.output_layers]
+            G_X += chain_vjp(model.output_layers, g_cache, 2.0 * r, g_grads)
+            for (gw, gb), layer in zip(g_grads, model.output_layers):
+                gw += 2.0 * beta * layer.weights
+                gb += 2.0 * beta * layer.bias
 
-        # state subnetwork: every step's layer values and state Jacobian at once
-        f_cache = chain_forward(model.state_layers, np.vstack([X[:, :-1], U[:, :-1]]))
-        _, jac = chain_jacobian(model.state_layers, f_cache[0], f_cache)
-        J = jac[:, :, :d]  # J[k] = dx_{k+1}/dx_k
+            # state subnetwork: every step's layer values and state Jacobian at once
+            f_cache = chain_forward(model.state_layers, np.vstack([X[:, :-1], U[:, :-1]]))
+            _, jac = chain_jacobian(model.state_layers, f_cache[0], f_cache)
+            J = jac[:, :, :d]  # J[k] = dx_{k+1}/dx_k
 
-        # the costate recursion lam_k = G_X[:, k] + J_k^T lam_{k+1} is the only loop;
-        # each costate is a contiguous row of a copy of G_Xᵀ, updated in place
-        Lam_rows = G_X.T.copy()
-        for k in reversed(range(len(J))):
-            Lam_rows[k] += Lam_rows[k + 1] @ J[k]
+            # the costate recursion lam_k = G_X[:, k] + J_k^T lam_{k+1} is the only loop;
+            # each costate is a contiguous row view of a copy of G_Xᵀ, updated in place
+            Lam_rows = G_X.T.copy()
+            for lam, lam_next, J_k in zip(Lam_rows[-2::-1], Lam_rows[:0:-1], J[::-1]):
+                lam += lam_next @ J_k
 
-        # each step's state output carries the costate of the next step
-        f_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.state_layers]
-        chain_vjp(model.state_layers, f_cache, Lam_rows.T[:, 1:], f_grads)
+            # each step's state output carries the costate of the next step
+            f_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.state_layers]
+            chain_vjp(model.state_layers, f_cache, Lam_rows.T[:, 1:], f_grads)
 
-    parts = []
-    for gw, gb in f_grads + g_grads:
-        parts.append(gw.ravel())
-        parts.append(gb)
-    parts.append(Lam_rows[0])
-    return bd, np.concatenate(parts)
+        parts = []
+        for gw, gb in f_grads + g_grads:
+            parts.append(gw.ravel())
+            parts.append(gb)
+        parts.append(Lam_rows[0])
+        return np.concatenate(parts)
+
+    return bd, X, gradient
 
 
 def loss(model: SsnnModel, data: Dataset, weights: LossWeights) -> LossBreakdown:
     """Training-window loss breakdown (total, prediction, variance, parameter terms)."""
     U, Y = data.U_train, data.Y_train
     _check_data(model.arch, U, Y, weights)
-    bd, _ = _loss_and_gradient(model, U, Y, weights.w, weights.alpha, weights.beta, need_grad=False)
+    bd, _, _ = _loss_and_gradient(model, U, Y, weights.w, weights.alpha, weights.beta)
     return bd
 
 
@@ -189,8 +197,8 @@ def loss_gradient(model: SsnnModel, data: Dataset, weights: LossWeights) -> np.n
     """Exact gradient of the total loss with respect to the flat parameter vector."""
     U, Y = data.U_train, data.Y_train
     _check_data(model.arch, U, Y, weights)
-    _, grad = _loss_and_gradient(model, U, Y, weights.w, weights.alpha, weights.beta)
-    return grad
+    _, _, gradient = _loss_and_gradient(model, U, Y, weights.w, weights.alpha, weights.beta)
+    return gradient()
 
 
 # --- L-BFGS with strong-Wolfe line search (Nocedal & Wright, §3.1 and ch. 7) ---
@@ -220,12 +228,16 @@ def _two_loop(grad, mem):
 def _minimize(fg, theta0, config: TrainConfig):
     """Monotone quasi-Newton descent; returns best iterate on line-search failure.
 
-    ``fg(theta) -> (f, breakdown, grad)`` with ``f = inf`` for divergent points.
+    ``fg(theta) -> (f, breakdown, (X, gradient))`` with ``f = inf`` for divergent
+    points; ``X`` is the point's state sequence and ``gradient()`` computes its
+    gradient.  Also returns the states of the returned iterate.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    f, bd, g = fg(theta)
+    f, bd, pending = fg(theta)
     if not np.isfinite(f):
         raise DivergenceError(0, "initial parameters produce a divergent simulation")
+    X, gradient = pending
+    g = gradient()
     history = [bd]
     grad_norms = [float(np.linalg.norm(g))]
     mem: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
@@ -245,7 +257,7 @@ def _minimize(fg, theta0, config: TrainConfig):
         step = _wolfe_search(fg, theta, direction, f, dg, a_init, config.max_backtracks)
         if step is None:
             break
-        a, f_new, bd_new, g_new = step
+        a, f_new, bd_new, g_new, X = step
         s = a * direction
         y = g_new - g
         sy = float(s @ y)
@@ -258,18 +270,24 @@ def _minimize(fg, theta0, config: TrainConfig):
         iterations = it + 1
 
     converged = config.max_iterations > 0 and grad_norms[-1] <= GRADIENT_TOLERANCE
-    return theta, history, grad_norms, iterations, converged
+    return theta, X, history, grad_norms, iterations, converged
 
 
 def _wolfe_search(fg, theta, direction, f0, dphi0, a_init, max_backtracks: int):
-    """Strong-Wolfe step: sufficient decrease and curvature |phi'| <= c2 |phi'(0)|."""
+    """Strong-Wolfe step: sufficient decrease and curvature |phi'| <= c2 |phi'(0)|.
+
+    A trial's gradient is computed only once it passes the decrease tests.
+    """
     budget = [max_backtracks]
 
     def phi(a):
         budget[0] -= 1
-        f, bd, g = fg(theta + a * direction)
-        dphi = float(g @ direction) if g is not None else np.inf
-        return f, bd, g, dphi
+        return fg(theta + a * direction)
+
+    def slope(pending):
+        X, gradient = pending
+        g = gradient()
+        return X, g, float(g @ direction)
 
     def zoom(a_lo, f_lo, dphi_lo, a_hi):
         while budget[0] > 0:
@@ -277,12 +295,13 @@ def _wolfe_search(fg, theta, direction, f0, dphi0, a_init, max_backtracks: int):
                 return None
             # quadratic model from (f_lo, dphi_lo, f_hi) is fragile near inf; bisect
             a = 0.5 * (a_lo + a_hi)
-            f_a, bd, g, dphi = phi(a)
+            f_a, bd, pending = phi(a)
             if not np.isfinite(f_a) or f_a > f0 + WOLFE_C1 * a * dphi0 or f_a >= f_lo:
                 a_hi = a
             else:
+                X, g, dphi = slope(pending)
                 if abs(dphi) <= -WOLFE_C2 * dphi0:
-                    return a, f_a, bd, g
+                    return a, f_a, bd, g, X
                 if dphi * (a_hi - a_lo) >= 0:
                     a_hi = a_lo
                 a_lo, f_lo, dphi_lo = a, f_a, dphi
@@ -292,11 +311,12 @@ def _wolfe_search(fg, theta, direction, f0, dphi0, a_init, max_backtracks: int):
     a = a_init
     first = True
     while budget[0] > 0:
-        f_a, bd, g, dphi = phi(a)
+        f_a, bd, pending = phi(a)
         if not np.isfinite(f_a) or f_a > f0 + WOLFE_C1 * a * dphi0 or (not first and f_a >= f_prev):
             return zoom(a_prev, f_prev, dphi_prev, a)
+        X, g, dphi = slope(pending)
         if abs(dphi) <= -WOLFE_C2 * dphi0:
-            return a, f_a, bd, g
+            return a, f_a, bd, g, X
         if dphi >= 0:
             return zoom(a, f_a, dphi, a_prev)
         a_prev, f_prev, dphi_prev = a, f_a, dphi
@@ -314,12 +334,12 @@ def _make_objective(arch, U, Y, w, alpha, beta, state_acts, output_acts):
             return np.inf, None, None
         model = unflatten_params(arch, theta, state_acts, output_acts)
         try:
-            bd, grad = _loss_and_gradient(model, U, Y, w, alpha, beta)
+            bd, X, gradient = _loss_and_gradient(model, U, Y, w, alpha, beta)
         except DivergenceError:
             return np.inf, None, None
         if not np.isfinite(bd.total):
             return np.inf, None, None
-        return bd.total, bd, grad
+        return bd.total, bd, (X, gradient)
     return fg
 
 
@@ -351,7 +371,7 @@ def train(
     output_acts = tuple(l.activation for l in initial.output_layers)
     fg = _make_objective(arch, U, Y, weights.w, alpha, beta, state_acts, output_acts)
 
-    theta, history, grad_norms, iterations, converged = _minimize(fg, flatten_params(initial), config)
+    theta, X, history, grad_norms, iterations, converged = _minimize(fg, flatten_params(initial), config)
     model = unflatten_params(arch, theta, state_acts, output_acts)
     return TrainReport(
         model=model,
@@ -360,7 +380,7 @@ def train(
         iterations=iterations,
         converged=converged,
         gradient_norm=grad_norms[-1],
-        stats=variance_stats(simulate(model, U).states),
+        stats=variance_stats(X),  # the returned iterate's states, from its own evaluation
     )
 
 

@@ -424,6 +424,27 @@ def test_reduced_file_with_a_list_for_reduction_is_usage_error(tmp_path, capsys)
     assert "'reduction' entry must be an object, not list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("state_layers",), 5),
+    (("state_layers",), [[]]),
+    (("arch", "state_dim"), "2"),
+    (("arch", "state_layer_widths", 0), float("inf")),  # json writes and reads it as Infinity
+], ids=["state_layers_a_number", "layer_a_list", "state_dim_a_string", "width_infinity"])
+def test_model_file_with_a_nested_wrong_type_is_usage_error(path, value, quick_model_dir, tmp_path, capsys):
+    doc = json.loads((Path(__file__).parents[1] / "benchmarks" / "fixture" / "full_model.json").read_text())
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    broken = tmp_path / "model.json"
+    broken.write_text(json.dumps(doc))
+    code = run(["evaluate", "--model", str(broken), "--data", str(quick_model_dir / "ds.csv"),
+                "--out", str(tmp_path / "metrics.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "model document has an entry of the wrong type" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 def test_failed_closed_loop_keeps_the_completed_steps(tmp_path, capsys):
     # the second level cannot be reached from the input box, so the loop fails when it starts
     rm_path = Path(__file__).parents[1] / "benchmarks" / "fixture" / "reduced_model.json"

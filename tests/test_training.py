@@ -385,3 +385,73 @@ def test_loss_gradient_matches_central_differences_on_random_architectures(seed,
         e[i] = h
         fd[i] = (total(theta + e) - total(theta - e)) / (2 * h)
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-6)
+
+
+# --- the deferred gradient and the accepted evaluation's states -----------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 4), max_size=2),
+       tanh_last=st.booleans(), d=st.integers(1, 3), max_iterations=st.sampled_from([0, 1, 5]),
+       max_backtracks=st.sampled_from([1, 30]))
+def test_train_stats_are_those_of_the_returned_model(seed, hidden, tanh_last, d, max_iterations,
+                                                     max_backtracks):
+    # one backtrack often ends the line search on a rejected trial, whose states
+    # must not reach the report
+    rng = np.random.default_rng(seed)
+    m, p, n = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(2, 30))
+    arch = s.SsnnArchitecture(d, m, p, tuple(hidden) + (d,), (3, p))
+    acts = s.core_model.default_activations(len(arch.state_layer_widths))
+    if tanh_last:
+        acts = acts[:-1] + (s.ActivationKind.TANH,)
+    initial = s.unflatten_params(arch, rng.uniform(-0.8, 0.8, arch.n_params), state_activations=acts)
+    U = rng.standard_normal((m, n))
+    data = s.Dataset.from_arrays(U, rng.standard_normal((p, n)))
+    cfg = s.TrainConfig(max_iterations=max_iterations, max_backtracks=max_backtracks)
+    report = s.train(data, arch, s.LossWeights.default(d, 0.1, 0.1), cfg, initial=initial)
+    stats = s.variance_stats(s.simulate(report.model, U).states)
+    for field in ("mean", "covariance", "variances"):
+        assert np.array_equal(getattr(report.stats, field), getattr(stats, field))
+
+
+def test_deferred_gradient_equals_loss_gradient_bitwise():
+    rng = np.random.default_rng(71)
+    arch = s.SsnnArchitecture(3, 1, 1, (3, 3), (3, 1))
+    U, Y = rng.uniform(-1, 1, (1, 40)), rng.standard_normal((1, 40))
+    weights = s.LossWeights.default(3, 0.1, 0.1)
+    fg = s.training._make_objective(arch, U, Y, weights.w, weights.alpha, weights.beta, None, None)
+    theta = s.flatten_params(s.random_model(arch, rng))
+    f, bd, (X, gradient) = fg(theta)
+    assert np.isfinite(fg(theta + 0.1)[0])  # a later evaluation must leave this one's values alone
+    deferred = gradient()
+    model = s.unflatten_params(arch, theta)
+    data = s.Dataset.from_arrays(U, Y)
+    assert bd == s.loss(model, data, weights) and f == bd.total
+    assert np.array_equal(X, s.simulate(model, U).states)
+    assert np.array_equal(deferred, s.loss_gradient(model, data, weights))
+
+
+def test_line_search_computes_gradients_only_for_trials_it_uses(monkeypatch):
+    evaluated, differentiated = [], []
+    forward = s.training._loss_and_gradient
+
+    def counted(*args):
+        bd, X, gradient = forward(*args)
+        evaluated.append(bd.total)
+
+        def counted_gradient():
+            differentiated.append(bd.total)
+            return gradient()
+        return bd, X, counted_gradient
+
+    monkeypatch.setattr(s.training, "_loss_and_gradient", counted)
+    rng = np.random.default_rng(31)
+    arch = s.SsnnArchitecture(2, 1, 1, (3, 2), (2, 1))
+    U = rng.uniform(-1, 1, (1, 40))
+    data = s.Dataset.from_arrays(U, np.sin(np.cumsum(U, axis=1)))
+    report = s.train(data, arch, s.LossWeights.default(2, 0.01, 0.05),
+                     s.TrainConfig(max_iterations=40, seed=2))
+    # every accepted point has its gradient, and at least one rejected trial had none
+    assert report.iterations == 40
+    assert {bd.total for bd in report.loss_history} <= set(differentiated)
+    assert report.iterations + 1 <= len(differentiated) < len(evaluated)

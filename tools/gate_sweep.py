@@ -5,8 +5,11 @@ stream per workload and runs as many as fit in its time budget, so a faster
 program reaches op seeds that a slower one never ran.  This script takes the
 first K seeds of that stream and runs each operation with the benchmark's own
 ``run_op`` (the workload's ``ssnno`` commands in-process, then its
-correctness gate), untimed.  It prints every failure and exits 1 if any
-operation failed.
+correctness gate), untimed.  It prints one line per operation (its op seed,
+the ``repr`` of its quality score and the SHA-256 of every output its commands
+wrote) and every failure, and exits 1 if any operation failed.  The sweep
+output of two checkouts differs only where the same operations came out
+differently, so ``diff`` of the two compares them on the same ops:
 
     python3 tools/gate_sweep.py control 1 200              # this checkout
     python3 tools/gate_sweep.py identify 8 400 OTHER_ROOT  # the checkout at OTHER_ROOT
@@ -47,6 +50,8 @@ def main(argv: list[str]) -> int:
         workload.setup(work)
         for i in range(k):
             op = bench.run_op(workload, workload.next_op_seed(), work / f"op{i}", sampler, run_cli)
+            outputs = " ".join(f"{command}:{','.join(hashes)}" for command, hashes in op.hashes)
+            print(f"op {i} seed {op.seed} quality {op.quality!r} {outputs}", flush=True)
             if not op.ok:
                 failed += 1
                 print(f"FAILED op {i} (op seed {op.seed}): {op.error}", flush=True)
