@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +290,7 @@ def cmd_montecarlo(args) -> int:
         for seed in range(n_seeds)
     ]
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only this command uses it
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_mc_cell, cells))
     else:

@@ -329,26 +329,37 @@ def rollout(model: SsnnModel, U: np.ndarray) -> np.ndarray:
     if n < 1:
         raise ValueError("input sequence must have at least one column")
     first = model.state_layers[0]
-    state_weights = first.weights[:, :d]
+    # the C copy that np.dot would make of this column slice at every step
+    state_weights = np.ascontiguousarray(first.weights[:, :d])
     drive = (first.weights[:, d:] @ U[:, :-1] + first.bias[:, None]).T.copy()
     # per step each layer is a matrix-vector product, an add and an in-place
-    # tanh: Python dispatch, not arithmetic, is the cost of this loop
-    first_tanh = first.activation is ActivationKind.TANH
-    rest = [(l.weights, l.bias, l.activation is ActivationKind.TANH) for l in model.state_layers[1:]]
+    # tanh: Python dispatch, not arithmetic, is the cost of this loop, so every
+    # call writes through a positional ``out`` into a buffer made once here.
+    # Each hidden layer has its own buffer (np.dot's ``out`` may not alias its
+    # input) and the last layer writes straight into the next state row.
+    dot, add, tanh = np.dot, np.add, np.tanh
     X = np.empty((n, d))
-    X[0] = x = model.x0
+    X[0] = model.x0
+    rows = list(X)
+    layers = model.state_layers
+    outs = [np.empty(l.bias.shape[0]) for l in layers[:-1]] + [None]  # None: the next row
+    first_tanh, first_out = first.activation is ActivationKind.TANH, outs[0]
+    rest = [(l.weights, l.bias, l.activation is ActivationKind.TANH, out)
+            for l, out in zip(layers[1:], outs[1:])]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n - 1):
-            x = np.dot(state_weights, x)
-            x += drive[k]
+        for x, x_next, drive_k in zip(rows, rows[1:], drive):
+            v = x_next if first_out is None else first_out
+            dot(state_weights, x, v)
+            add(v, drive_k, v)
             if first_tanh:
-                np.tanh(x, out=x)
-            for weights, bias, tanh in rest:
-                x = np.dot(weights, x)
-                x += bias
-                if tanh:
-                    np.tanh(x, out=x)
-            X[k + 1] = x
+                tanh(v, v)
+            for weights, bias, is_tanh, out in rest:
+                z = x_next if out is None else out
+                dot(weights, v, z)
+                add(z, bias, z)
+                if is_tanh:
+                    tanh(z, z)
+                v = z
     X = np.ascontiguousarray(X.T)
     step = _first_non_finite(X)
     if step is not None:

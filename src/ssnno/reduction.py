@@ -124,6 +124,25 @@ def reduced_to_dict(rm: ReducedModel) -> dict:
     return doc
 
 
+def _number(v):
+    return float(v) if type(v) in (int, float) else None
+
+
+def _integer(v):
+    return v if type(v) is int else None
+
+
+def _entry(info: dict, name: str, convert, valid, requirement: str):
+    """``convert(info[name])``, or a ValueError naming the entry if it is not ``valid``."""
+    try:
+        value = convert(info[name])
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or not valid(value):
+        raise ValueError(f"reduced-model 'reduction' entry {name!r} must be {requirement}, not {info[name]!r}")
+    return value
+
+
 def reduced_from_dict(doc: dict) -> ReducedModel:
     if doc.get("version") != REDUCED_SCHEMA_VERSION:
         raise ValueError(
@@ -136,12 +155,16 @@ def reduced_from_dict(doc: dict) -> ReducedModel:
         info = doc["reduction"]
         if not isinstance(info, dict):
             raise ValueError(f"reduced-model 'reduction' entry must be an object, not {type(info).__name__}")
-        return ReducedModel(
-            model=model_from_dict(inner),
-            delta=float(info["delta"]),
-            residual_mean=np.asarray(info["residual_mean"], dtype=float),
-            source_order=int(info["source_order"]),
-        )
+        model = model_from_dict(inner)
+        s = model.state_dim
+        delta = _entry(info, "delta", _number, lambda v: np.isfinite(v) and v >= 0, "a finite number >= 0")
+        _entry(info, "significant_count", _integer, lambda v: v == s, f"the network's state_dim {s}")
+        source_order = _entry(info, "source_order", _integer, lambda v: v >= s,
+                              f"an integer >= significant_count {s}")
+        residual_mean = _entry(info, "residual_mean", lambda v: np.asarray(v, dtype=float),
+                               lambda v: v.shape == (source_order - s,) and np.isfinite(v).all(),
+                               f"a finite vector of source_order - significant_count = {source_order - s} entries")
+        return ReducedModel(model=model, delta=delta, residual_mean=residual_mean, source_order=source_order)
     except KeyError as exc:
         raise ValueError(f"reduced-model document has no {exc.args[0]!r} entry") from None
     except (TypeError, OverflowError) as exc:

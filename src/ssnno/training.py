@@ -158,12 +158,17 @@ def _loss_and_gradient(model: SsnnModel, U, Y, w, alpha, beta):
             f_cache = chain_forward(model.state_layers, np.vstack([X[:, :-1], U[:, :-1]]))
             _, jac = chain_jacobian(model.state_layers, f_cache[0], f_cache)
             J = jac[:, :, :d]  # J[k] = dx_{k+1}/dx_k
+            if not (J[0].flags.c_contiguous or J[0].flags.f_contiguous):
+                J = np.ascontiguousarray(J)  # the C copy np.dot would make of each strided J_k
 
             # the costate recursion lam_k = G_X[:, k] + J_k^T lam_{k+1} is the only loop;
             # each costate is a contiguous row view of a copy of G_Xᵀ, updated in place
+            # through one product buffer (a positional ``out`` allocates nothing)
             Lam_rows = G_X.T.copy()
+            carry = np.empty(d)
             for lam, lam_next, J_k in zip(Lam_rows[-2::-1], Lam_rows[:0:-1], J[::-1]):
-                lam += lam_next @ J_k
+                np.dot(lam_next, J_k, carry)
+                lam += carry
 
             # each step's state output carries the costate of the next step
             f_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.state_layers]

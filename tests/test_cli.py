@@ -424,6 +424,23 @@ def test_reduced_file_with_a_list_for_reduction_is_usage_error(tmp_path, capsys)
     assert "'reduction' entry must be an object, not list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, value", [
+    ("delta", -1),
+    ("significant_count", "x"),
+    ("residual_mean", None),
+    ("residual_mean", [0.5, 0.5]),  # source_order 3 - significant_count 2 = 1 entry
+], ids=["delta_negative", "significant_count_a_string", "residual_mean_null", "residual_mean_too_long"])
+def test_reduced_file_with_a_malformed_reduction_entry_is_usage_error(entry, value, tmp_path, capsys):
+    doc = json.loads((Path(__file__).parents[1] / "benchmarks" / "fixture" / "reduced_model.json").read_text())
+    doc["reduction"][entry] = value
+    broken = tmp_path / "rm.json"
+    broken.write_text(json.dumps(doc))
+    code = run(["mpc", "--reduced-model", str(broken), "--steps", "4", "--out", str(tmp_path / "log.csv")])
+    assert code == cli.USAGE_EXIT
+    assert f"'reduction' entry {entry!r} must be" in capsys.readouterr().err
+    assert not (tmp_path / "log.csv").exists()
+
+
 @pytest.mark.parametrize("path, value", [
     (("state_layers",), 5),
     (("state_layers",), [[]]),

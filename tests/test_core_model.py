@@ -543,3 +543,56 @@ def test_state_overflow_squashed_back_still_diverges_at_its_step():
     with pytest.raises(s.DivergenceError) as err:
         s.loss(model, data, s.LossWeights.default(1, 0.1, 0.1))
     assert err.value.step == 1
+
+
+def _plain_rollout(model, U):
+    """The state recursion as an out-of-place loop that stores each new state by setitem."""
+    d, n = model.state_dim, U.shape[1]
+    first = model.state_layers[0]
+    state_weights = first.weights[:, :d]
+    drive = (first.weights[:, d:] @ U[:, :-1] + first.bias[:, None]).T.copy()
+    first_tanh = first.activation is s.ActivationKind.TANH
+    rest = [(l.weights, l.bias, l.activation is s.ActivationKind.TANH) for l in model.state_layers[1:]]
+    X = np.empty((n, d))
+    X[0] = x = model.x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            x = np.dot(state_weights, x)
+            x += drive[k]
+            if first_tanh:
+                np.tanh(x, out=x)
+            for weights, bias, tanh in rest:
+                x = np.dot(weights, x)
+                x += bias
+                if tanh:
+                    np.tanh(x, out=x)
+            X[k + 1] = x
+    X = np.ascontiguousarray(X.T)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
+    if bad.size:
+        raise s.DivergenceError(int(bad[0]), f"non-finite state at step {int(bad[0])}")
+    return X
+
+
+@settings(max_examples=300, deadline=None)
+# three linear layers at scale 6: the state overflows within the horizon
+@example(seed=1, d=2, m=1, hidden=[5, 4], tanh=[False, False, False], n=300, scale=6.0)
+@example(seed=2, d=1, m=2, hidden=[], tanh=[True, True, True], n=1, scale=1.0)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), m=st.integers(1, 2),
+       hidden=st.lists(st.integers(1, 5), max_size=2), tanh=st.lists(st.booleans(), min_size=3, max_size=3),
+       n=st.integers(1, 300), scale=st.floats(0.3, 6.0))
+def test_rollout_matches_plain_loop_bitwise(seed, d, m, hidden, tanh, n, scale):
+    rng = np.random.default_rng(seed)
+    arch = s.SsnnArchitecture(d, m, 1, tuple(hidden) + (d,), (1,))
+    acts = tuple(s.ActivationKind.TANH if t else s.ActivationKind.LINEAR for t in tanh)
+    model = s.unflatten_params(arch, scale * rng.uniform(-1.0, 1.0, arch.n_params),
+                               state_activations=acts[: len(hidden) + 1])
+    U = rng.standard_normal((m, n))
+    try:
+        want = _plain_rollout(model, U)
+    except s.DivergenceError as err:
+        with pytest.raises(s.DivergenceError) as got:
+            s.core_model.rollout(model, U)
+        assert got.value.step == err.step
+    else:
+        assert np.array_equal(s.core_model.rollout(model, U), want)
