@@ -216,6 +216,12 @@ def layer_forward(layer: LayerParams, value: np.ndarray, index: int | None = Non
 # The three routines below are the only place a layer stack is evaluated or
 # differentiated.  They trust the layer shapes (``SsnnModel`` checks them when
 # it is built), so the public entry points validate their inputs first.
+# Small products call ``ndarray.dot``, which skips the Python dispatch of
+# ``np.dot`` and ``@``; it gives ``@``'s bits when each operand is C- or
+# F-contiguous or a transpose of one, as the package passes.  On a column slice
+# ``@`` sums in its own loop, so products of slices stay ``@`` (``rollout``'s
+# ``drive``, ``estimation_control``), and so does ``chain_jacobian``'s, where
+# ``.dot`` would contract a 3-D batch differently.
 
 
 def chain_forward(layers, value: np.ndarray) -> list[np.ndarray]:
@@ -225,7 +231,7 @@ def chain_forward(layers, value: np.ndarray) -> list[np.ndarray]:
     """
     values = [value]
     for layer in layers:
-        value = layer.weights @ value
+        value = layer.weights.dot(value)
         value += layer.bias if value.ndim == 1 else layer.bias[:, None]
         if layer.activation is ActivationKind.TANH:
             np.tanh(value, out=value)
@@ -255,9 +261,9 @@ def chain_vjp(layers, values, cotangent: np.ndarray, grads=None) -> np.ndarray:
                 weight_grad += np.outer(dpre, values[i])
                 bias_grad += dpre
             else:
-                weight_grad += dpre @ values[i].T
+                weight_grad += dpre.dot(values[i].T)
                 bias_grad += dpre.sum(axis=1)
-        delta = layer.weights.T @ dpre
+        delta = layer.weights.T.dot(dpre)
     return delta
 
 
@@ -335,27 +341,27 @@ def rollout(model: SsnnModel, U: np.ndarray) -> np.ndarray:
     # per step each layer is a matrix-vector product, an add and an in-place
     # tanh: Python dispatch, not arithmetic, is the cost of this loop, so every
     # call writes through a positional ``out`` into a buffer made once here.
-    # Each hidden layer has its own buffer (np.dot's ``out`` may not alias its
+    # Each hidden layer has its own buffer (``dot``'s ``out`` may not alias its
     # input) and the last layer writes straight into the next state row.
-    dot, add, tanh = np.dot, np.add, np.tanh
+    first_dot, add, tanh = state_weights.dot, np.add, np.tanh
     X = np.empty((n, d))
     X[0] = model.x0
     rows = list(X)
     layers = model.state_layers
     outs = [np.empty(l.bias.shape[0]) for l in layers[:-1]] + [None]  # None: the next row
     first_tanh, first_out = first.activation is ActivationKind.TANH, outs[0]
-    rest = [(l.weights, l.bias, l.activation is ActivationKind.TANH, out)
+    rest = [(l.weights.dot, l.bias, l.activation is ActivationKind.TANH, out)
             for l, out in zip(layers[1:], outs[1:])]
     with np.errstate(over="ignore", invalid="ignore"):
         for x, x_next, drive_k in zip(rows, rows[1:], drive):
             v = x_next if first_out is None else first_out
-            dot(state_weights, x, v)
+            first_dot(x, v)
             add(v, drive_k, v)
             if first_tanh:
                 tanh(v, v)
-            for weights, bias, is_tanh, out in rest:
+            for wdot, bias, is_tanh, out in rest:
                 z = x_next if out is None else out
-                dot(weights, v, z)
+                wdot(v, z)
                 add(z, bias, z)
                 if is_tanh:
                     tanh(z, z)
@@ -585,11 +591,14 @@ def model_from_dict(doc: dict) -> SsnnModel:
             state_layer_widths=tuple(a["state_layer_widths"]),
             output_layer_widths=tuple(a["output_layer_widths"]),
         )
+        x0 = np.array(doc["x0"], dtype=float)
+        if not np.isfinite(x0).all():
+            raise ValueError("model document's 'x0' entry must be finite")
         return SsnnModel(
             arch=arch,
             state_layers=tuple(_layer_from_dict(l) for l in doc["state_layers"]),
             output_layers=tuple(_layer_from_dict(l) for l in doc["output_layers"]),
-            x0=np.array(doc["x0"], dtype=float),
+            x0=x0,
         )
     except KeyError as exc:
         raise ValueError(f"model document has no {exc.args[0]!r} entry") from None

@@ -167,7 +167,7 @@ def _loss_and_gradient(model: SsnnModel, U, Y, w, alpha, beta):
             Lam_rows = G_X.T.copy()
             carry = np.empty(d)
             for lam, lam_next, J_k in zip(Lam_rows[-2::-1], Lam_rows[:0:-1], J[::-1]):
-                np.dot(lam_next, J_k, carry)
+                lam_next.dot(J_k, carry)
                 lam += carry
 
             # each step's state output carries the costate of the next step
@@ -218,14 +218,14 @@ def _two_loop(grad, mem):
     q = grad.copy()
     alphas = []
     for s, y, rho in reversed(mem):
-        a = rho * float(s @ q)
+        a = rho * float(s.dot(q))
         alphas.append(a)
         q -= a * y
     if mem:
         s, y, _ = mem[-1]
-        q *= float(s @ y) / float(y @ y)
+        q *= float(s.dot(y)) / float(y.dot(y))
     for (s, y, rho), a in zip(mem, reversed(alphas)):
-        b = rho * float(y @ q)
+        b = rho * float(y.dot(q))
         q += (a - b) * s
     return q
 
@@ -253,11 +253,11 @@ def _minimize(fg, theta0, config: TrainConfig):
         if gnorm <= GRADIENT_TOLERANCE:
             break
         direction = -_two_loop(g, mem)
-        dg = float(direction @ g)
+        dg = float(direction.dot(g))
         if dg >= 0:
             mem.clear()
             direction = -g
-            dg = -float(g @ g)
+            dg = -float(g.dot(g))
         a_init = 1.0 if mem else min(1.0, 1.0 / max(gnorm, 1e-12))
         step = _wolfe_search(fg, theta, direction, f, dg, a_init, config.max_backtracks)
         if step is None:
@@ -265,7 +265,7 @@ def _minimize(fg, theta0, config: TrainConfig):
         a, f_new, bd_new, g_new, X = step
         s = a * direction
         y = g_new - g
-        sy = float(s @ y)
+        sy = float(s.dot(y))
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             mem.append((s, y, 1.0 / sy))
         theta = theta + s
@@ -292,7 +292,7 @@ def _wolfe_search(fg, theta, direction, f0, dphi0, a_init, max_backtracks: int):
     def slope(pending):
         X, gradient = pending
         g = gradient()
-        return X, g, float(g @ direction)
+        return X, g, float(g.dot(direction))
 
     def zoom(a_lo, f_lo, dphi_lo, a_hi):
         while budget[0] > 0:

@@ -475,3 +475,26 @@ def test_failed_closed_loop_keeps_the_completed_steps(tmp_path, capsys):
     manifest = json.loads((tmp_path / "log.csv.manifest.json").read_text())
     assert [o["path"] for o in manifest["outputs"]] == [str(out)]
     assert manifest["outputs"][0]["sha256"] == sha(out)
+
+
+def test_model_file_with_a_nan_x0_is_usage_error(quick_model_dir, tmp_path, capsys):
+    doc = json.loads((Path(__file__).parents[1] / "benchmarks" / "fixture" / "full_model.json").read_text())
+    doc["x0"] = [float("nan")] * 3  # json writes and reads it as NaN
+    broken = tmp_path / "model.json"
+    broken.write_text(json.dumps(doc))
+    code = run(["evaluate", "--model", str(broken), "--data", str(quick_model_dir / "ds.csv"),
+                "--out", str(tmp_path / "metrics.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "'x0'" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_reduced_file_with_an_infinite_x0_entry_is_usage_error(tmp_path, capsys):
+    doc = json.loads((Path(__file__).parents[1] / "benchmarks" / "fixture" / "reduced_model.json").read_text())
+    doc["x0"][1] = float("inf")  # json writes and reads it as Infinity
+    broken = tmp_path / "rm.json"
+    broken.write_text(json.dumps(doc))
+    code = run(["mpc", "--reduced-model", str(broken), "--steps", "4", "--out", str(tmp_path / "log.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "'x0'" in capsys.readouterr().err
+    assert not (tmp_path / "log.csv").exists()

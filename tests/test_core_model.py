@@ -499,6 +499,33 @@ def test_chain_kernel_matches_plain_formulas_bitwise(seed, widths, tanh, columns
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+       tanh=st.lists(st.booleans(), min_size=3, max_size=3), columns=st.integers(1, 300))
+def test_chain_kernel_matches_plain_formulas_bitwise_on_an_f_ordered_batch(seed, widths, tanh, columns):
+    # the kernel's products call ``ndarray.dot``, which must give ``@``'s bits on
+    # F-ordered operands too: here the batch and the cotangent are transposes of C arrays
+    rng = np.random.default_rng(seed)
+    layers = tuple(
+        s.LayerParams(rng.uniform(-1, 1, (w, f)), rng.uniform(-1, 1, w),
+                      s.ActivationKind.TANH if t else s.ActivationKind.LINEAR)
+        for f, w, t in zip(widths, widths[1:], tanh)
+    )
+    value = rng.standard_normal((columns, widths[0])).T
+    cotangent = rng.standard_normal((columns, widths[-1])).T
+    assert value.flags.f_contiguous and cotangent.flags.f_contiguous
+
+    values = s.core_model.chain_forward(layers, value)
+    plain_values = _plain_forward(layers, value)
+    assert all(np.array_equal(a, b) for a, b in zip(values, plain_values))
+    grads, plain_grads = ([(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
+                          for _ in range(2))
+    delta = s.core_model.chain_vjp(layers, values, cotangent, grads)
+    assert np.array_equal(delta, _plain_vjp(layers, plain_values, cotangent, plain_grads))
+    for got, want in zip(grads, plain_grads):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 4), max_size=2),
        tanh=st.lists(st.booleans(), min_size=3, max_size=3), n=st.integers(1, 40))

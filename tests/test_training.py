@@ -1,3 +1,4 @@
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -493,3 +494,31 @@ def test_loss_gradient_matches_plain_costate_loop_bitwise(seed, d, hidden, tanh,
     data = s.Dataset.from_arrays(U, np.sin(np.cumsum(U, axis=1))[:1])
     weights = s.LossWeights.default(d, 0.1, 0.1)
     assert np.array_equal(s.loss_gradient(model, data, weights), _plain_loss_gradient(model, data, weights))
+
+
+def _plain_two_loop(grad, mem):
+    """The L-BFGS two-loop recursion with its inner products written ``s @ q``."""
+    q = grad.copy()
+    alphas = []
+    for s_k, y, rho in reversed(mem):
+        a = rho * float(s_k @ q)
+        alphas.append(a)
+        q -= a * y
+    if mem:
+        s_k, y, _ = mem[-1]
+        q *= float(s_k @ y) / float(y @ y)
+    for (s_k, y, rho), a in zip(mem, reversed(alphas)):
+        b = rho * float(y @ q)
+        q += (a - b) * s_k
+    return q
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(0, 10), n=st.integers(1, 80))
+def test_two_loop_matches_plain_formula_bitwise(seed, pairs, n):
+    rng = np.random.default_rng(seed)
+    mem = deque(maxlen=s.training.LBFGS_MEMORY)
+    for _ in range(pairs):
+        mem.append((rng.standard_normal(n), rng.standard_normal(n), float(rng.uniform(0.1, 2.0))))
+    grad = rng.standard_normal(n)
+    assert np.array_equal(s.training._two_loop(grad, mem), _plain_two_loop(grad, mem))
