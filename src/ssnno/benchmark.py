@@ -121,19 +121,30 @@ def plant_step(
 
     Fixed-step RK4 with ``substeps`` stages over the period, on Python floats
     (two states are too few for array arithmetic to pay for its dispatch).
+    The rates of :func:`_cstr_rates` are written out inline, with the same
+    operations in the same order, to spare a call per stage.
     """
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
     h = dt / substeps
+    half, sixth = 0.5 * h, h / 6.0
+    Da, B, Db, exp = params.Da, params.B, params.Db, np.exp
     x1, x2 = (float(v) for v in np.asarray(x, dtype=float))
     u = float(u)
     for _ in range(substeps):
-        k1a, k1b = _cstr_rates(x1, x2, u, params)
-        k2a, k2b = _cstr_rates(x1 + 0.5 * h * k1a, x2 + 0.5 * h * k1b, u, params)
-        k3a, k3b = _cstr_rates(x1 + 0.5 * h * k2a, x2 + 0.5 * h * k2b, u, params)
-        k4a, k4b = _cstr_rates(x1 + h * k3a, x2 + h * k3b, u, params)
-        x1 = x1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        x2 = x2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        r = Da * (1.0 - x1) * float(exp(x2))
+        k1a, k1b = -x1 + r, -x2 + B * r - Db * (x2 - u)
+        y1, y2 = x1 + half * k1a, x2 + half * k1b
+        r = Da * (1.0 - y1) * float(exp(y2))
+        k2a, k2b = -y1 + r, -y2 + B * r - Db * (y2 - u)
+        y1, y2 = x1 + half * k2a, x2 + half * k2b
+        r = Da * (1.0 - y1) * float(exp(y2))
+        k3a, k3b = -y1 + r, -y2 + B * r - Db * (y2 - u)
+        y1, y2 = x1 + h * k3a, x2 + h * k3b
+        r = Da * (1.0 - y1) * float(exp(y2))
+        k4a, k4b = -y1 + r, -y2 + B * r - Db * (y2 - u)
+        x1 = x1 + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        x2 = x2 + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
     x = np.array([x1, x2])
     if not np.isfinite(x).all():
         raise DivergenceError(0, "plant state diverged within one sampling period")
@@ -216,38 +227,64 @@ def generate_dataset(
 
 
 def dataset_to_csv(ds: Dataset, path: str | Path) -> None:
-    """Write (k, u, y, split) rows plus a JSON metadata sidecar."""
+    """Write (k, u, y, split) rows plus a JSON metadata sidecar.
+
+    The bytes are those of a ``csv.writer``: no field needs quoting, and lines
+    end in ``\\r\\n``.
+    """
     path = Path(path)
+    lines = ["k,u,y,split"]
+    lines += [f"{k},{u!r},{y!r},{'train' if k < ds.split_index else 'test'}"
+              for k, (u, y) in enumerate(zip(ds.U[0].tolist(), ds.Y[0].tolist()))]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "u", "y", "split"])
-        for k in range(ds.n_samples):
-            split = "train" if k < ds.split_index else "test"
-            writer.writerow([k, repr(float(ds.U[0, k])), repr(float(ds.Y[0, k])), split])
+        fh.write("\r\n".join(lines) + "\r\n")
     sidecar_path(path).write_text(json.dumps(ds.meta, indent=1, sort_keys=True))
 
 
+def _parse_column(path: Path, name: str, texts: list[str], kind: type, what: str) -> list:
+    """``texts`` converted by ``kind``; ``ValueError`` naming the file and the row if one fails."""
+    values = []
+    for i, text in enumerate(texts):
+        try:
+            values.append(kind(text))
+        except ValueError:
+            raise ValueError(f"{path}: data row {i}: {name} must be {what}, got {text!r}") from None
+    return values
+
+
 def dataset_from_csv(path: str | Path) -> Dataset:
-    """Read a :func:`dataset_to_csv` file; ``ValueError`` naming the file if it is malformed."""
+    """Read a :func:`dataset_to_csv` file; ``ValueError`` naming the file if it is malformed.
+
+    Rows are read as ``csv.DictReader`` reads them: blank rows are skipped, a
+    missing trailing field reads as an empty string, and of two columns with
+    the same name the last one counts.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        rows = list(reader)
-    missing = [c for c in ("k", "u", "y", "split") if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        rows = [row for row in reader if row]
+    missing = [c for c in ("k", "u", "y", "split") if c not in header]
     if missing:
         raise ValueError(f"{path}: missing column {', '.join(missing)}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    if [int(row["k"]) for row in rows] != list(range(len(rows))):
+    where = {name: j for j, name in enumerate(header)}  # the last of equal names wins
+
+    def column(name: str) -> list[str]:
+        j = where[name]
+        return [row[j] if j < len(row) else "" for row in rows]
+
+    if _parse_column(path, "k", column("k"), int, "an integer") != list(range(len(rows))):
         raise ValueError(f"{path}: column k must count 0..{len(rows) - 1} in order")
-    splits = [row["split"] for row in rows]
+    splits = column("split")
     if not set(splits) <= {"train", "test"}:
         raise ValueError(f"{path}: split must be train or test")
     split_index = splits.count("train")
     if "test" in splits[:split_index]:
         raise ValueError(f"{path}: a train row follows a test row")
-    us = [float(row["u"]) for row in rows]
-    ys = [float(row["y"]) for row in rows]
+    us = _parse_column(path, "u", column("u"), float, "a number")
+    ys = _parse_column(path, "y", column("y"), float, "a number")
     if not np.isfinite(us + ys).all():
         raise ValueError(f"{path}: u and y must be finite")
     meta = {}

@@ -312,6 +312,31 @@ def _first_non_finite(A: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
+# --- per-step scratch buffers ------------------------------------------------------
+#
+# The two sequential recursions (``rollout`` and the training costate loop) run
+# over the rows of a buffer, and at the package's sizes building a row view
+# costs as much as a step's arithmetic.  So each use keeps one buffer and the
+# list of its rows, rebuilt only when its shape changes.  The package starts no
+# threads, and ``montecarlo --workers`` runs processes, each with its own cache.
+# No buffer may escape: a function copies out every array it returns or keeps,
+# since the next call of the same use overwrites the buffer.
+
+_SCRATCH: dict[str, tuple[np.ndarray, list[np.ndarray]]] = {}
+
+
+def _scratch(use: str, shape: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The reusable buffer of ``shape`` for ``use``, and the list of its rows.
+
+    The contents are whatever the last call of ``use`` left there.
+    """
+    entry = _SCRATCH.get(use)
+    if entry is None or entry[0].shape != shape:
+        buffer = np.empty(shape)
+        entry = _SCRATCH[use] = (buffer, list(buffer))
+    return entry
+
+
 def rollout(model: SsnnModel, U: np.ndarray) -> np.ndarray:
     """State sequence ``X`` (d, N) under inputs ``U`` (m, N).
 
@@ -337,23 +362,23 @@ def rollout(model: SsnnModel, U: np.ndarray) -> np.ndarray:
     first = model.state_layers[0]
     # the C copy that np.dot would make of this column slice at every step
     state_weights = np.ascontiguousarray(first.weights[:, :d])
-    drive = (first.weights[:, d:] @ U[:, :-1] + first.bias[:, None]).T.copy()
+    drive, drive_rows = _scratch("rollout drive", (n - 1, first.width))
+    np.copyto(drive, (first.weights[:, d:] @ U[:, :-1] + first.bias[:, None]).T)
     # per step each layer is a matrix-vector product, an add and an in-place
     # tanh: Python dispatch, not arithmetic, is the cost of this loop, so every
     # call writes through a positional ``out`` into a buffer made once here.
     # Each hidden layer has its own buffer (``dot``'s ``out`` may not alias its
     # input) and the last layer writes straight into the next state row.
     first_dot, add, tanh = state_weights.dot, np.add, np.tanh
-    X = np.empty((n, d))
+    X, rows = _scratch("rollout states", (n, d))
     X[0] = model.x0
-    rows = list(X)
     layers = model.state_layers
     outs = [np.empty(l.bias.shape[0]) for l in layers[:-1]] + [None]  # None: the next row
     first_tanh, first_out = first.activation is ActivationKind.TANH, outs[0]
     rest = [(l.weights.dot, l.bias, l.activation is ActivationKind.TANH, out)
             for l, out in zip(layers[1:], outs[1:])]
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, x_next, drive_k in zip(rows, rows[1:], drive):
+        for x, x_next, drive_k in zip(rows, rows[1:], drive_rows):
             v = x_next if first_out is None else first_out
             first_dot(x, v)
             add(v, drive_k, v)
@@ -366,7 +391,7 @@ def rollout(model: SsnnModel, U: np.ndarray) -> np.ndarray:
                 if is_tanh:
                     tanh(z, z)
                 v = z
-    X = np.ascontiguousarray(X.T)
+    X = X.T.copy()  # always a copy: for d = 1, ``ascontiguousarray`` would return the buffer
     step = _first_non_finite(X)
     if step is not None:
         raise DivergenceError(step, f"non-finite state at step {step}")

@@ -25,6 +25,7 @@ from .core_model import (
     SsnnArchitecture,
     SsnnModel,
     VarianceStats,
+    _scratch,
     chain_forward,
     chain_jacobian,
     chain_vjp,
@@ -142,13 +143,20 @@ def _loss_and_gradient(model: SsnnModel, U, Y, w, alpha, beta):
         bd = LossBreakdown(total=spe + alpha * jv + beta * jg, spe=spe, variance_term=jv, param_term=jg)
 
     def gradient() -> np.ndarray:
+        # one vector, written through per-layer views in the flat parameter layout
+        grad = np.zeros(model.arch.n_params)
+        views, pos = [], 0
+        for l in model.state_layers + model.output_layers:
+            size = l.weights.size
+            views.append((grad[pos:pos + size].reshape(l.weights.shape), grad[pos + size:pos + size + l.width]))
+            pos += size + l.width
+        f_grads, g_grads = views[:len(model.state_layers)], views[len(model.state_layers):]
         with np.errstate(over="ignore", invalid="ignore"):
             # direct dependence of the loss on each state column (variance path);
             # the mean-centering term cancels exactly
             G_X = 2.0 * alpha * (w[:, None] * centered)
 
             # output subnetwork, batched over columns
-            g_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.output_layers]
             G_X += chain_vjp(model.output_layers, g_cache, 2.0 * r, g_grads)
             for (gw, gb), layer in zip(g_grads, model.output_layers):
                 gw += 2.0 * beta * layer.weights
@@ -158,28 +166,26 @@ def _loss_and_gradient(model: SsnnModel, U, Y, w, alpha, beta):
             f_cache = chain_forward(model.state_layers, np.vstack([X[:, :-1], U[:, :-1]]))
             _, jac = chain_jacobian(model.state_layers, f_cache[0], f_cache)
             J = jac[:, :, :d]  # J[k] = dx_{k+1}/dx_k
-            if not (J[0].flags.c_contiguous or J[0].flags.f_contiguous):
-                J = np.ascontiguousarray(J)  # the C copy np.dot would make of each strided J_k
+            if J[0].flags.c_contiguous or J[0].flags.f_contiguous:  # every J_k when d = 1
+                J_rows = list(J)
+            else:  # the C copy np.dot would make of each strided J_k
+                J_copy, J_rows = _scratch("costate jacobians", J.shape)
+                np.copyto(J_copy, J)
 
             # the costate recursion lam_k = G_X[:, k] + J_k^T lam_{k+1} is the only loop;
-            # each costate is a contiguous row view of a copy of G_Xᵀ, updated in place
+            # each costate is a contiguous row of a copy of G_Xᵀ, updated in place
             # through one product buffer (a positional ``out`` allocates nothing)
-            Lam_rows = G_X.T.copy()
+            Lam, lam_rows = _scratch("costates", G_X.T.shape)
+            np.copyto(Lam, G_X.T)
             carry = np.empty(d)
-            for lam, lam_next, J_k in zip(Lam_rows[-2::-1], Lam_rows[:0:-1], J[::-1]):
+            for lam, lam_next, J_k in zip(lam_rows[-2::-1], lam_rows[:0:-1], J_rows[::-1]):
                 lam_next.dot(J_k, carry)
                 lam += carry
 
             # each step's state output carries the costate of the next step
-            f_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.state_layers]
-            chain_vjp(model.state_layers, f_cache, Lam_rows.T[:, 1:], f_grads)
-
-        parts = []
-        for gw, gb in f_grads + g_grads:
-            parts.append(gw.ravel())
-            parts.append(gb)
-        parts.append(Lam_rows[0])
-        return np.concatenate(parts)
+            chain_vjp(model.state_layers, f_cache, Lam.T[:, 1:], f_grads)
+        grad[pos:] = Lam[0]
+        return grad
 
     return bd, X, gradient
 
@@ -408,14 +414,21 @@ def repair_variance_ordering(
 
     Each pass is a ``train`` call followed by a zero-iteration ``train`` of
     the permuted twin, whose report gives the twin's loss, gradient norm and
-    variances.  The history concatenates every pass's entries and the twin's.
+    variances.  When the sort is the identity the twin is the trained model
+    itself, and the pass's own report already holds that evaluation.  The
+    history concatenates every pass's entries and the twin's.
     """
     evaluate_only = replace(config, max_iterations=0)
     history, grad_norms, iterations = (), (), 0
     for passes in range(1, MAX_OUTER_PASSES + 1):
         report = train(data, initial.arch, weights, config, initial=initial)
-        initial = _perm.permute_model(report.model, _perm.variance_sort_index(report.stats))
-        twin = train(data, initial.arch, weights, evaluate_only, initial=initial)
+        index = _perm.variance_sort_index(report.stats)
+        if index.is_identity():  # the twin is the trained model, whose last evaluation the report holds
+            twin = replace(report, loss_history=report.loss_history[-1:],
+                           gradient_norms=report.gradient_norms[-1:], iterations=0, converged=False)
+        else:
+            initial = _perm.permute_model(report.model, index)
+            twin = train(data, initial.arch, weights, evaluate_only, initial=initial)
         history += report.loss_history + twin.loss_history
         grad_norms += report.gradient_norms + twin.gradient_norms
         iterations += report.iterations

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssnno as s
-from ssnno.benchmark import dataset_from_csv, dataset_to_csv, sidecar_path
+from ssnno import cli
+from ssnno.benchmark import _cstr_rates, dataset_from_csv, dataset_to_csv, sidecar_path
 
 
 def test_derivative_at_origin_matches_hand_evaluation():
@@ -42,6 +44,34 @@ def test_plant_step_fixed_point_of_zero_derivative():
     assert np.array_equal(s.cstr_derivative(np.zeros(2), 0.0, frozen), np.zeros(2))
     out = s.plant_step(np.zeros(2), 0.0, frozen, dt=1.0, substeps=8)
     assert np.array_equal(out, np.zeros(2))
+
+
+def _rk4_over_rates(x, u, params, dt, substeps):
+    """The plant's RK4 step written over :func:`_cstr_rates`, one call per stage."""
+    h = dt / substeps
+    x1, x2 = (float(v) for v in x)
+    for _ in range(substeps):
+        k1a, k1b = _cstr_rates(x1, x2, u, params)
+        k2a, k2b = _cstr_rates(x1 + 0.5 * h * k1a, x2 + 0.5 * h * k1b, u, params)
+        k3a, k3b = _cstr_rates(x1 + 0.5 * h * k2a, x2 + 0.5 * h * k2b, u, params)
+        k4a, k4b = _cstr_rates(x1 + h * k3a, x2 + h * k3b, u, params)
+        x1 = x1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        x2 = x2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+    return np.array([x1, x2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.tuples(st.floats(-1, 0), st.floats(-1, 0)), u=st.floats(-1, 0), substeps=st.integers(1, 32),
+       dt=st.floats(0.1, 2.0), B=st.floats(0.1, 30.0), Da=st.floats(0.001, 0.3), Db=st.floats(0.1, 5.0))
+def test_plant_step_matches_rk4_over_rates_bitwise(x, u, substeps, dt, B, Da, Db):
+    params = s.CstrParams(B=B, Da=Da, Db=Db)
+    with np.errstate(over="ignore", invalid="ignore"):  # a stiff draw may blow up within the period
+        want = _rk4_over_rates(x, u, params, dt, substeps)
+        if not np.isfinite(want).all():
+            with pytest.raises(s.DivergenceError):
+                s.plant_step(np.array(x), u, params, dt, substeps)
+            return
+        assert np.array_equal(s.plant_step(np.array(x), u, params, dt, substeps), want)
 
 
 def test_rk4_richardson_convergence_single_step():
@@ -187,3 +217,33 @@ def test_malformed_dataset_csv_is_rejected_naming_the_file(tmp_path, header, row
         dataset_from_csv(path)
     assert str(path) in str(err.value)
 
+
+@pytest.mark.parametrize("header, rows, complaint", [
+    ("k,u,y,split", ["0,-0.1,0.2,train", "1.5,-0.2,0.3,test"], "data row 1: k must be an integer, got '1.5'"),
+    ("k,u,y,split", ["0,-0.1,0.2,train", "1,-0.2,0.3,train", "2,x,0.4,test"],
+     "data row 2: u must be a number, got 'x'"),
+    ("k,u,y,split", ["0,-0.1,0.2,train", "1,-0.2,,test"], "data row 1: y must be a number, got ''"),
+    ("k,u,split,y", ["0,-0.1,train,0.2", "1,-0.2,test"], "data row 1: y must be a number, got ''"),  # short row
+])
+def test_unparsable_dataset_csv_entry_is_rejected_naming_the_file_and_row(tmp_path, capsys, header, rows,
+                                                                           complaint):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ValueError, match=complaint) as err:
+        dataset_from_csv(path)
+    assert str(path) in str(err.value)
+    assert cli.main(["train", "--data", str(path), "--out", str(tmp_path / "model.json")]) == 1
+    assert complaint in capsys.readouterr().err
+
+
+def test_dataset_csv_reads_as_a_dict_reader_does(tmp_path):
+    # blank rows are skipped, extra fields ignored, and the last of two equal names counts
+    path = tmp_path / "odd.csv"
+    path.write_text("k,u,y,split,u\n\n0,9,0.5,train,-0.1,extra\n1,9,0.25,test,-0.2\n\n")
+    ds = dataset_from_csv(path)
+    assert np.array_equal(ds.U, [[-0.1, -0.2]]) and np.array_equal(ds.Y, [[0.5, 0.25]])
+    assert ds.split_index == 1
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="missing column k"):
+        dataset_from_csv(empty)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ssnno as s
 
@@ -522,3 +522,121 @@ def test_two_loop_matches_plain_formula_bitwise(seed, pairs, n):
         mem.append((rng.standard_normal(n), rng.standard_normal(n), float(rng.uniform(0.1, 2.0))))
     grad = rng.standard_normal(n)
     assert np.array_equal(s.training._two_loop(grad, mem), _plain_two_loop(grad, mem))
+
+
+def _repair_evaluating_every_twin(data, weights, config, initial):
+    """The repair loop that evaluates every twin, the identity sort's too, by a zero-iteration train."""
+    evaluate_only = replace(config, max_iterations=0)
+    history, grad_norms, iterations = (), (), 0
+    for passes in range(1, s.training.MAX_OUTER_PASSES + 1):
+        report = s.training.train(data, initial.arch, weights, config, initial=initial)
+        initial = s.training._perm.permute_model(report.model, s.training._perm.variance_sort_index(report.stats))
+        twin = s.training.train(data, initial.arch, weights, evaluate_only, initial=initial)
+        history += report.loss_history + twin.loss_history
+        grad_norms += report.gradient_norms + twin.gradient_norms
+        iterations += report.iterations
+        if not (report.loss_history[-1].total - twin.loss_history[0].total > 0.0):
+            break
+    return replace(
+        twin, loss_history=history, gradient_norms=grad_norms, iterations=iterations,
+        converged=report.converged, gradient_norm=report.gradient_norm, outer_passes=passes,
+    )
+
+
+@pytest.mark.parametrize("d, max_iterations, seed, max_passes, ends_on_identity", [
+    (1, 30, 0, 10, True),
+    (2, 3, 2, 10, True),
+    (3, 3, 4, 10, True),
+    (3, 3, 4, 2, False),  # the pass cap ends the loop on a permuting sort
+    (3, 0, 1, 10, True),
+])
+def test_repair_reuses_the_last_evaluation_for_an_identity_twin(monkeypatch, d, max_iterations, seed, max_passes,
+                                                                ends_on_identity):
+    rng = np.random.default_rng(5)
+    U = rng.uniform(-1, 1, (1, 60))
+    data = s.Dataset.from_arrays(U, np.sin(1.5 * np.cumsum(U, axis=1)) + 0.05 * rng.standard_normal((1, 60)))
+    arch = s.SsnnArchitecture(d, 1, 1, (3, d), (3, 1))
+    weights = s.LossWeights.default(d, 0.05, 0.1)
+    cfg = s.TrainConfig(max_iterations=max_iterations, seed=seed)
+    initial = s.random_model(arch, np.random.default_rng(seed))
+    monkeypatch.setattr(s.training, "MAX_OUTER_PASSES", max_passes)
+
+    counts = {"unflatten": 0, "train": 0, "identity": 0}
+    unflatten, train, sort = s.training.unflatten_params, s.training.train, s.training._perm.variance_sort_index
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    def sort_noting_identities(stats):
+        index = sort(stats)
+        counts["identity"] += index.is_identity()
+        return index
+
+    monkeypatch.setattr(s.training, "unflatten_params", counted("unflatten", unflatten))
+    monkeypatch.setattr(s.training, "train", counted("train", train))
+    monkeypatch.setattr(s.training._perm, "variance_sort_index", sort_noting_identities)
+    want = _repair_evaluating_every_twin(data, weights, cfg, initial)
+    old = dict(counts)
+    counts.update(unflatten=0, train=0, identity=0)
+    got = s.repair_variance_ordering(data, weights, cfg, initial)
+
+    assert np.array_equal(s.flatten_params(got.model), s.flatten_params(want.model))
+    for field in ("mean", "covariance", "variances"):
+        assert np.array_equal(getattr(got.stats, field), getattr(want.stats, field))
+    assert got.loss_history == want.loss_history
+    assert got.gradient_norms == want.gradient_norms
+    for field in ("iterations", "converged", "gradient_norm", "outer_passes"):
+        assert getattr(got, field) == getattr(want, field)
+    # objective evaluations are the unflatten calls less one per train call (its returned model)
+    assert counts["identity"] == old["identity"] == int(ends_on_identity)
+    assert old["train"] - counts["train"] == counts["identity"]
+    assert (old["unflatten"] - old["train"]) - (counts["unflatten"] - counts["train"]) == counts["identity"]
+
+
+@settings(max_examples=100, deadline=None)
+@example(seed=0, d=1, n=40, other_n=41, hidden=[], m=1, tanh_last=False)
+@example(seed=1, d=3, n=40, other_n=7, hidden=[3], m=2, tanh_last=True)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), n=st.integers(1, 300), other_n=st.integers(1, 300),
+       hidden=st.lists(st.integers(1, 4), max_size=2), m=st.integers(1, 2), tanh_last=st.booleans())
+def test_no_scratch_buffer_escapes_an_evaluation(seed, d, n, other_n, hidden, m, tanh_last):
+    # rollout and the gradient reuse per-use buffers across calls; what one
+    # evaluation returns must survive the next evaluations, of any shape
+    rng = np.random.default_rng(seed)
+    arch = s.SsnnArchitecture(d, m, 1, tuple(hidden) + (d,), (3, 1))
+    acts = s.core_model.default_activations(len(arch.state_layer_widths))
+    if tanh_last:
+        acts = acts[:-1] + (s.ActivationKind.TANH,)
+    weights = s.LossWeights.default(d, 0.1, 0.1)
+
+    def draw(columns):
+        model = s.unflatten_params(arch, rng.uniform(-0.8, 0.8, arch.n_params), state_activations=acts)
+        U = rng.uniform(-1, 1, (m, columns))
+        return model, U, np.sin(np.cumsum(U, axis=1))[:1]
+
+    def evaluate(model, U, Y):
+        _, X, gradient = s.training._loss_and_gradient(model, U, Y, weights.w, weights.alpha, weights.beta)
+        return X, s.simulate(model, U), (gradient() if U.shape[1] >= 2 else None), gradient
+
+    model1, U, Y = draw(n)
+    X1, traj1, g1, gradient1 = evaluate(model1, U, Y)
+    kept = {"X": X1, "states": traj1.states, "outputs": traj1.outputs, "gradient": g1}
+    want = {key: value.copy() for key, value in kept.items() if value is not None}
+
+    model2 = draw(n)[0]  # same shapes: every buffer is reused
+    evaluate(model2, U, Y)
+    with pytest.raises(s.DivergenceError):
+        s.rollout(replace(model2, x0=np.full(d, np.inf)), U)
+    other = other_n if other_n != n else n + 1  # a new shape: every buffer is rebuilt
+    evaluate(*draw(other))
+
+    for key, value in want.items():  # checked before any evaluation can refill a buffer
+        assert np.array_equal(kept[key], value), key
+    if n >= 2:  # the deferred gradient, run only now
+        assert np.array_equal(gradient1(), want["gradient"])
+    X1_fresh, traj1_fresh, g1_fresh, _ = evaluate(model1, U, Y)
+    fresh = {"X": X1_fresh, "states": traj1_fresh.states, "outputs": traj1_fresh.outputs, "gradient": g1_fresh}
+    for key, value in want.items():
+        assert np.array_equal(fresh[key], value), key
