@@ -89,7 +89,7 @@ def _build_arch(d: int, p: int, state_hidden: str, output_hidden: str) -> SsnnAr
 def _load_any_model(path: Path):
     """The network in a full or reduced model file."""
     doc = json.loads(Path(path).read_text())
-    if doc.get("version") == reduction.REDUCED_SCHEMA_VERSION:
+    if isinstance(doc, dict) and doc.get("version") == reduction.REDUCED_SCHEMA_VERSION:
         return reduction.reduced_from_dict(doc).model
     return model_from_dict(doc)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -317,7 +318,10 @@ def _first_non_finite(A: np.ndarray) -> int | None:
 # The two sequential recursions (``rollout`` and the training costate loop) run
 # over the rows of a buffer, and at the package's sizes building a row view
 # costs as much as a step's arithmetic.  So each use keeps one buffer and the
-# list of its rows, rebuilt only when its shape changes.  The package starts no
+# list of its rows, rebuilt only when its shape changes: ``rollout`` its input
+# term ("rollout drive"), its states ("rollout states") and, when it carries the
+# last hidden layer, that layer's values ("rollout hidden"); the gradient its
+# costates and a C copy of a strided Jacobian stack.  The package starts no
 # threads, and ``montecarlo --workers`` runs processes, each with its own cache.
 # No buffer may escape: a function copies out every array it returns or keeps,
 # since the next call of the same use overwrites the buffer.
@@ -342,8 +346,23 @@ def rollout(model: SsnnModel, U: np.ndarray) -> np.ndarray:
 
     ``X[:, 0]`` is the model's initial state and ``X[:, k+1] = f(X[:, k], U[:, k])``;
     the last input column is not used.  This is the one sequential loop over
-    the state recursion: the input term of the first state layer does not
-    depend on the state, so it is computed for all steps at once.
+    the state recursion.  The input term of the first state layer does not
+    depend on the state, so ``drive_k = W_{1,u} u_k + b_1`` is computed for all
+    steps at once, and the loop carries a vector through a chain of layers
+    whose first one adds ``drive_k`` to a product with the carried vector:
+
+    - by default the state ``x`` through every state layer, the product being
+      ``W_{1,x} x_k`` with the state columns of the first layer;
+    - when the last state layer is linear and the one before it is tanh (the
+      default architecture), the last hidden value ``h`` through every layer but
+      the last.  Then ``x_{k+1} = W_L h_k + b_L`` folds into the next step:
+      ``h_k`` is the chain on ``A h_{k-1} + c_k`` with ``A = W_{1,x} W_L`` and
+      ``c_k = drive_k + W_{1,x} b_L``, started from ``h_{-1} = 0`` and
+      ``c_0 = drive_0 + W_{1,x} x_0``.  For one hidden layer a step is three
+      numpy calls instead of five, and ``X[:, 1:] = W_L H + b_L`` is one
+      product after the loop.  The result is the unfolded recursion's up to
+      roundoff, not bit for bit.  Where ``A`` or ``c`` is not finite (their
+      products overflow) the loop carries the state instead.
 
     Raises
     ------
@@ -359,38 +378,58 @@ def rollout(model: SsnnModel, U: np.ndarray) -> np.ndarray:
     d, n = model.state_dim, U.shape[1]
     if n < 1:
         raise ValueError("input sequence must have at least one column")
-    first = model.state_layers[0]
+    layers = model.state_layers
+    first, last = layers[0], layers[-1]
     # the C copy that np.dot would make of this column slice at every step
     state_weights = np.ascontiguousarray(first.weights[:, :d])
+    input_term = (first.weights[:, d:] @ U[:, :-1] + first.bias[:, None]).T
     drive, drive_rows = _scratch("rollout drive", (n - 1, first.width))
-    np.copyto(drive, (first.weights[:, d:] @ U[:, :-1] + first.bias[:, None]).T)
-    # per step each layer is a matrix-vector product, an add and an in-place
-    # tanh: Python dispatch, not arithmetic, is the cost of this loop, so every
-    # call writes through a positional ``out`` into a buffer made once here.
-    # Each hidden layer has its own buffer (``dot``'s ``out`` may not alias its
-    # input) and the last layer writes straight into the next state row.
-    first_dot, add, tanh = state_weights.dot, np.add, np.tanh
+    np.copyto(drive, input_term)
     X, rows = _scratch("rollout states", (n, d))
     X[0] = model.x0
-    layers = model.state_layers
-    outs = [np.empty(l.bias.shape[0]) for l in layers[:-1]] + [None]  # None: the next row
-    first_tanh, first_out = first.activation is ActivationKind.TANH, outs[0]
-    rest = [(l.weights.dot, l.bias, l.activation is ActivationKind.TANH, out)
-            for l, out in zip(layers[1:], outs[1:])]
+    fold = (n > 1 and len(layers) > 1 and last.activation is ActivationKind.LINEAR
+            and layers[-2].activation is ActivationKind.TANH)
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, x_next, drive_k in zip(rows, rows[1:], drive_rows):
-            v = x_next if first_out is None else first_out
-            first_dot(x, v)
+        if fold:
+            carried_weights = state_weights @ last.weights  # A
+            drive[0] += state_weights.dot(model.x0)
+            drive[1:] += state_weights.dot(last.bias)
+            fold = bool(np.isfinite(carried_weights).all() and np.isfinite(drive).all())
+            if not fold:  # a product overflowed: back to the plain input term
+                np.copyto(drive, input_term)
+        if fold:
+            chain = layers[:-1]
+            H, carried = _scratch("rollout hidden", (n, chain[-1].width))
+            H[0] = 0.0  # h_{-1}: A h_{-1} + c_0 is exactly c_0
+        else:
+            carried_weights, chain, carried = state_weights, layers, rows
+        # per step each layer is a matrix-vector product, an add and an in-place
+        # tanh: Python dispatch, not arithmetic, is the cost of this loop, so every
+        # call writes through a positional ``out`` into a buffer made once here.
+        # Each inner layer of the chain has its own buffer (``dot``'s ``out`` may
+        # not alias its input) and the chain's last layer writes straight into the
+        # next carried row.
+        first_dot, add, tanh = carried_weights.dot, np.add, np.tanh
+        outs = [np.empty(l.width) for l in chain[:-1]] + [None]  # None: the next carried row
+        first_tanh, first_out = first.activation is ActivationKind.TANH, outs[0]
+        rest = [(l.weights.dot, l.bias, l.activation is ActivationKind.TANH, out)
+                for l, out in zip(chain[1:], outs[1:])]
+        for z, z_next, drive_k in zip(carried, carried[1:], drive_rows):
+            v = z_next if first_out is None else first_out
+            first_dot(z, v)
             add(v, drive_k, v)
             if first_tanh:
                 tanh(v, v)
             for wdot, bias, is_tanh, out in rest:
-                z = x_next if out is None else out
-                wdot(v, z)
-                add(z, bias, z)
+                y = z_next if out is None else out
+                wdot(v, y)
+                add(y, bias, y)
                 if is_tanh:
-                    tanh(z, z)
-                v = z
+                    tanh(y, y)
+                v = y
+        if fold:  # x_{k+1} = W_L h_k + b_L for every step at once
+            H[1:].dot(last.weights.T, X[1:])
+            X[1:] += last.bias
     X = X.T.copy()  # always a copy: for d = 1, ``ascontiguousarray`` would return the buffer
     step = _first_non_finite(X)
     if step is not None:
@@ -519,6 +558,27 @@ def flatten_params(model: SsnnModel) -> np.ndarray:
     return np.concatenate(parts)
 
 
+@lru_cache(maxsize=64)
+def _param_layout(arch: SsnnArchitecture) -> tuple[tuple, tuple, int]:
+    """Each state and output layer's ``(start, bias_start, end, weight_shape)`` in the
+    flat vector, and where ``x0`` starts."""
+    layers, pos = [], 0
+    for width, fan_in in zip(arch.state_layer_widths + arch.output_layer_widths,
+                             arch.state_fan_ins + arch.output_fan_ins):
+        bias_start = pos + width * fan_in
+        layers.append((pos, bias_start, bias_start + width, (width, fan_in)))
+        pos = bias_start + width
+    n_state = len(arch.state_layer_widths)
+    return tuple(layers[:n_state]), tuple(layers[n_state:]), pos
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` whose fields are known to pass its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def unflatten_params(
     arch: SsnnArchitecture,
     theta: np.ndarray,
@@ -528,33 +588,34 @@ def unflatten_params(
     """Inverse of :func:`flatten_params`.
 
     Activations default to the standard pattern (tanh hidden, linear last).
+    This is the objective's path from a parameter vector to a model, so it
+    validates the vector once (its length, and finiteness of the layer part;
+    ``x0`` is not checked) and builds the layers without their per-layer
+    checks.  Weights, biases and ``x0`` are views of ``theta``, the weights in
+    C order.
     """
-    theta = _as_vector(theta, "theta")
-    if theta.shape[0] != arch.n_params:
+    theta = np.ascontiguousarray(_as_vector(theta, "theta"))
+    state_slices, output_slices, x0_start = _param_layout(arch)
+    if theta.shape[0] != x0_start + arch.state_dim:
         raise ValueError(f"parameter vector has length {theta.shape[0]}, expected {arch.n_params}")
     if state_activations is None:
-        state_activations = default_activations(len(arch.state_layer_widths))
+        state_activations = default_activations(len(state_slices))
     if output_activations is None:
-        output_activations = default_activations(len(arch.output_layer_widths))
+        output_activations = default_activations(len(output_slices))
+    for which, slices, acts in (("state", state_slices, state_activations),
+                                ("output", output_slices, output_activations)):
+        if len(acts) < len(slices):
+            raise ModelDimensionError(f"{which} subnetwork has {len(acts)} layers, expected {len(slices)}")
+    if not np.isfinite(theta[:x0_start]).all():
+        raise ValueError("layer parameters must be finite")
 
-    pos = 0
+    def layers(slices, acts):
+        return tuple(_trusted(LayerParams, weights=theta[start:bias_start].reshape(shape),
+                              bias=theta[bias_start:end], activation=act)
+                     for (start, bias_start, end, shape), act in zip(slices, acts))
 
-    def take(width, fan_in, act):
-        nonlocal pos
-        w = theta[pos:pos + width * fan_in].reshape(width, fan_in)
-        pos += width * fan_in
-        b = theta[pos:pos + width]
-        pos += width
-        return LayerParams(weights=w, bias=b, activation=act)
-
-    state_layers = tuple(
-        take(w, f, a) for w, f, a in zip(arch.state_layer_widths, arch.state_fan_ins, state_activations)
-    )
-    output_layers = tuple(
-        take(w, f, a) for w, f, a in zip(arch.output_layer_widths, arch.output_fan_ins, output_activations)
-    )
-    x0 = theta[pos:pos + arch.state_dim]
-    return SsnnModel(arch=arch, state_layers=state_layers, output_layers=output_layers, x0=x0)
+    return _trusted(SsnnModel, arch=arch, state_layers=layers(state_slices, state_activations),
+                    output_layers=layers(output_slices, output_activations), x0=theta[x0_start:])
 
 
 def random_model(arch: SsnnArchitecture, rng: np.random.Generator, init_scale: float = 0.5) -> SsnnModel:
@@ -602,6 +663,8 @@ def _layer_from_dict(doc: dict) -> LayerParams:
 
 
 def model_from_dict(doc: dict) -> SsnnModel:
+    if not isinstance(doc, dict):
+        raise ValueError(f"model document must be a JSON object, not {type(doc).__name__}")
     version = doc.get("version")
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model document version: {version!r}")

@@ -144,6 +144,8 @@ def _entry(info: dict, name: str, convert, valid, requirement: str):
 
 
 def reduced_from_dict(doc: dict) -> ReducedModel:
+    if not isinstance(doc, dict):
+        raise ValueError(f"reduced-model document must be a JSON object, not {type(doc).__name__}")
     if doc.get("version") != REDUCED_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported reduced-model document version: {doc.get('version')!r}; "

@@ -498,3 +498,17 @@ def test_reduced_file_with_an_infinite_x0_entry_is_usage_error(tmp_path, capsys)
     assert code == cli.USAGE_EXIT
     assert "'x0'" in capsys.readouterr().err
     assert not (tmp_path / "log.csv").exists()
+
+
+@pytest.mark.parametrize("top", ["null", "[]", '"s"', "5", "-1", "Infinity", "[[1]]"])
+def test_model_file_whose_top_level_is_not_an_object_is_usage_error(top, quick_model_dir, tmp_path, capsys):
+    broken = tmp_path / "model.json"
+    broken.write_text(top)
+    code = run(["evaluate", "--model", str(broken), "--data", str(quick_model_dir / "ds.csv"),
+                "--out", str(tmp_path / "metrics.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "model document must be a JSON object" in capsys.readouterr().err
+    code = run(["mpc", "--reduced-model", str(broken), "--steps", "4", "--out", str(tmp_path / "log.csv")])
+    assert code == cli.USAGE_EXIT
+    assert "reduced-model document must be a JSON object" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]

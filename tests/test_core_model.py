@@ -272,6 +272,42 @@ def test_unflatten_rejects_wrong_length():
         s.unflatten_params(arch, np.zeros(arch.n_params + 1))
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tanh=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_unflatten_matches_the_validating_constructors(seed, tanh):
+    rng = np.random.default_rng(seed)
+    arch = random_architecture(rng)
+    n_state = len(arch.state_layer_widths)
+    acts = [s.ActivationKind.TANH if t else s.ActivationKind.LINEAR for t in tanh]
+    state_acts, output_acts = tuple(acts[:n_state]), tuple(acts[2:2 + len(arch.output_layer_widths)])
+    theta = rng.uniform(-1.0, 1.0, arch.n_params)
+    got = s.unflatten_params(arch, theta, state_acts, output_acts)
+    layers, pos = [], 0
+    for width, fan_in, act in zip(arch.state_layer_widths + arch.output_layer_widths,
+                                  arch.state_fan_ins + arch.output_fan_ins, state_acts + output_acts):
+        end = pos + width * fan_in
+        layers.append(s.LayerParams(theta[pos:end].reshape(width, fan_in), theta[end:end + width], act))
+        pos = end + width
+    want = s.SsnnModel(arch, tuple(layers[:n_state]), tuple(layers[n_state:]), theta[pos:])
+    assert got.arch == want.arch
+    assert len(got.state_layers) == n_state and len(got.output_layers) == len(layers) - n_state
+    for a, b in zip(got.state_layers + got.output_layers, want.state_layers + want.output_layers):
+        assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+        assert a.activation is b.activation
+        assert a.weights.flags.c_contiguous and np.shares_memory(a.weights, theta)
+    assert np.array_equal(got.x0, want.x0)
+
+
+def test_unflatten_checks_the_layer_part_for_finiteness_only():
+    arch = s.SsnnArchitecture(2, 1, 1, (3, 2), (2, 1))
+    theta = np.zeros(arch.n_params)
+    theta[-1] = np.nan  # an entry of x0
+    assert np.isnan(s.unflatten_params(arch, theta).x0[-1])
+    theta[-1], theta[arch.n_params - arch.state_dim - 1] = 0.0, np.inf  # the last output bias
+    with pytest.raises(ValueError, match="layer parameters must be finite"):
+        s.unflatten_params(arch, theta)
+
+
 # --- serialization -------------------------------------------------------------------
 
 
@@ -601,25 +637,100 @@ def _plain_rollout(model, U):
     return X
 
 
+def _plain_folded_rollout(model, U):
+    """The folded recursion as an out-of-place loop, or None where ``rollout`` does not fold.
+
+    With a linear last state layer after a tanh one, the loop carries the last
+    hidden value: ``h_0`` is the chain of every layer but the last on
+    ``W_{1,x} x_0 + drive_0``, ``h_k`` the same chain on ``A h_{k-1} + c_k`` with
+    ``A = W_{1,x} W_L`` and ``c_k = drive_k + W_{1,x} b_L``, and the states
+    ``X[:, 1:] = W_L H + b_L`` come from one product after the loop.
+    """
+    d, n = model.state_dim, U.shape[1]
+    layers = model.state_layers
+    first, last = layers[0], layers[-1]
+    if n < 2 or len(layers) < 2 or last.activation is not s.ActivationKind.LINEAR \
+            or layers[-2].activation is not s.ActivationKind.TANH:
+        return None
+    state_weights = np.ascontiguousarray(first.weights[:, :d])
+    drive = (first.weights[:, d:] @ U[:, :-1] + first.bias[:, None]).T.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = state_weights @ last.weights
+        c = drive + state_weights @ last.bias
+        start = drive[0] + state_weights @ model.x0
+        if not (np.isfinite(A).all() and np.isfinite(c[1:]).all() and np.isfinite(start).all()):
+            return None
+        H = np.empty((n - 1, layers[-2].width))
+        for k in range(n - 1):
+            h = start.copy() if k == 0 else np.dot(A, h) + c[k]
+            if first.activation is s.ActivationKind.TANH:
+                np.tanh(h, out=h)
+            for layer in layers[1:-1]:
+                h = np.dot(layer.weights, h) + layer.bias
+                if layer.activation is s.ActivationKind.TANH:
+                    np.tanh(h, out=h)
+            H[k] = h
+        X = np.empty((n, d))
+        X[0] = model.x0
+        X[1:] = H @ last.weights.T + last.bias
+    X = np.ascontiguousarray(X.T)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
+    if bad.size:
+        raise s.DivergenceError(int(bad[0]), f"non-finite state at step {int(bad[0])}")
+    return X
+
+
+def _plain_steps(model, X, U):
+    """``f(X[:, k], U[:, k])`` for every column but the last, through every state layer."""
+    v = np.vstack([X[:, :-1], U[:, :-1]])
+    for layer in model.state_layers:
+        v = layer.weights @ v + layer.bias[:, None]
+        if layer.activation is s.ActivationKind.TANH:
+            v = np.tanh(v)
+    return v
+
+
+def _states_or_divergence_step(evaluate, model, U):
+    try:
+        return evaluate(model, U)
+    except s.DivergenceError as err:
+        return err.step
+
+
 @settings(max_examples=300, deadline=None)
 # three linear layers at scale 6: the state overflows within the horizon
 @example(seed=1, d=2, m=1, hidden=[5, 4], tanh=[False, False, False], n=300, scale=6.0)
 @example(seed=2, d=1, m=2, hidden=[], tanh=[True, True, True], n=1, scale=1.0)
+# the default architecture: rollout carries the hidden layer
+@example(seed=3, d=3, m=1, hidden=[3], tanh=[True, False, False], n=200, scale=1.0)
+# W_{1,x} W_L overflows, so rollout carries the state
+@example(seed=4, d=3, m=1, hidden=[3], tanh=[True, False, False], n=50, scale=1e200)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), m=st.integers(1, 2),
        hidden=st.lists(st.integers(1, 5), max_size=2), tanh=st.lists(st.booleans(), min_size=3, max_size=3),
        n=st.integers(1, 300), scale=st.floats(0.3, 6.0))
 def test_rollout_matches_plain_loop_bitwise(seed, d, m, hidden, tanh, n, scale):
+    # where rollout folds the last state layer into the next step, its bitwise reference is
+    # the folded loop, and the unfolded recursion must agree to roundoff and diverge at the same step
     rng = np.random.default_rng(seed)
     arch = s.SsnnArchitecture(d, m, 1, tuple(hidden) + (d,), (1,))
     acts = tuple(s.ActivationKind.TANH if t else s.ActivationKind.LINEAR for t in tanh)
     model = s.unflatten_params(arch, scale * rng.uniform(-1.0, 1.0, arch.n_params),
                                state_activations=acts[: len(hidden) + 1])
     U = rng.standard_normal((m, n))
-    try:
-        want = _plain_rollout(model, U)
-    except s.DivergenceError as err:
-        with pytest.raises(s.DivergenceError) as got:
-            s.core_model.rollout(model, U)
-        assert got.value.step == err.step
+    got = _states_or_divergence_step(s.core_model.rollout, model, U)
+    plain = _states_or_divergence_step(_plain_rollout, model, U)
+    folded = _states_or_divergence_step(_plain_folded_rollout, model, U)
+    want = plain if folded is None else folded
+    if isinstance(want, int):
+        assert got == want
     else:
-        assert np.array_equal(s.core_model.rollout(model, U), want)
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    if folded is not None:
+        if isinstance(plain, int):
+            assert got == plain
+        else:
+            # each state against one unfolded step from the state before it: over the whole
+            # horizon the recursion can amplify the roundoff between the two loops
+            assert isinstance(got, np.ndarray)
+            steps = _plain_steps(model, got, U)
+            assert np.abs(got[:, 1:] - steps).max() <= 1e-12 * np.abs(got).max()

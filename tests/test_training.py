@@ -464,19 +464,20 @@ def _plain_loss_gradient(model, data, weights):
     U, Y, d = data.U_train, data.Y_train, model.state_dim
     X = cm.rollout(model, U)
     g_cache = cm.output_values(model, X)
-    G_X = 2.0 * weights.alpha * (weights.w[:, None] * (X - X.mean(axis=1)[:, None]))
-    g_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.output_layers]
-    G_X += cm.chain_vjp(model.output_layers, g_cache, 2.0 * (g_cache[-1] - Y), g_grads)
-    for (gw, gb), layer in zip(g_grads, model.output_layers):
-        gw += 2.0 * weights.beta * layer.weights
-        gb += 2.0 * weights.beta * layer.bias
-    f_cache = cm.chain_forward(model.state_layers, np.vstack([X[:, :-1], U[:, :-1]]))
-    J = cm.chain_jacobian(model.state_layers, f_cache[0], f_cache)[1][:, :, :d]
-    Lam_rows = G_X.T.copy()
-    for lam, lam_next, J_k in zip(Lam_rows[-2::-1], Lam_rows[:0:-1], J[::-1]):
-        lam += lam_next @ J_k
-    f_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.state_layers]
-    cm.chain_vjp(model.state_layers, f_cache, Lam_rows.T[:, 1:], f_grads)
+    with np.errstate(over="ignore", invalid="ignore"):  # an expansive model's costates overflow
+        G_X = 2.0 * weights.alpha * (weights.w[:, None] * (X - X.mean(axis=1)[:, None]))
+        g_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.output_layers]
+        G_X += cm.chain_vjp(model.output_layers, g_cache, 2.0 * (g_cache[-1] - Y), g_grads)
+        for (gw, gb), layer in zip(g_grads, model.output_layers):
+            gw += 2.0 * weights.beta * layer.weights
+            gb += 2.0 * weights.beta * layer.bias
+        f_cache = cm.chain_forward(model.state_layers, np.vstack([X[:, :-1], U[:, :-1]]))
+        J = cm.chain_jacobian(model.state_layers, f_cache[0], f_cache)[1][:, :, :d]
+        Lam_rows = G_X.T.copy()
+        for lam, lam_next, J_k in zip(Lam_rows[-2::-1], Lam_rows[:0:-1], J[::-1]):
+            lam += lam_next @ J_k
+        f_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.state_layers]
+        cm.chain_vjp(model.state_layers, f_cache, Lam_rows.T[:, 1:], f_grads)
     return np.concatenate([part for gw, gb in f_grads + g_grads for part in (gw.ravel(), gb)]
                           + [Lam_rows[0]])
 
@@ -493,7 +494,8 @@ def test_loss_gradient_matches_plain_costate_loop_bitwise(seed, d, hidden, tanh,
     U = rng.uniform(-1, 1, (2, n))
     data = s.Dataset.from_arrays(U, np.sin(np.cumsum(U, axis=1))[:1])
     weights = s.LossWeights.default(d, 0.1, 0.1)
-    assert np.array_equal(s.loss_gradient(model, data, weights), _plain_loss_gradient(model, data, weights))
+    assert np.array_equal(s.loss_gradient(model, data, weights), _plain_loss_gradient(model, data, weights),
+                          equal_nan=True)  # bit for bit, NaN where the costates overflowed included
 
 
 def _plain_two_loop(grad, mem):

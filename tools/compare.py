@@ -1,6 +1,6 @@
 """Compare two checkouts on the reference outputs, the same benchmark ops and timed pairs.
 
-    python3 tools/compare.py PARENT_ROOT RUN_SEED K [WORKLOAD] [--pairs N]
+    python3 tools/compare.py PARENT_ROOT RUN_SEED K [WORKLOAD] [--moved] [--pairs N]
 
 In order, and stopping at the first difference or failure:
 
@@ -26,6 +26,14 @@ difference, the first differing line of each side (for a sweep, the first
 differing op).  It exits 0 only when every line matches, no op failed and,
 with ``--pairs``, every timed run exited 0.  ``benchmarks/`` at either root is
 imported and run, and only read.
+
+``--moved`` is for a change that moves the training outputs on purpose, so
+steps 1-3 may differ.  A difference then does not stop the command: it prints
+every differing output-hash line, the number of differing sweep lines with
+each side's summary line (its failure count and median quality score on the
+same K ops) and both margin outputs in full.  A failed op, a failing margin
+(``tools/margin.py`` exits 1 when criterion 5 or 6 would fail) or a failed
+timed run still stops it with exit 1.
 """
 
 from __future__ import annotations
@@ -52,18 +60,38 @@ def _run_both(script: str, args: list[str], roots: dict[str, Path]) -> dict[str,
             for side, p in procs.items()}
 
 
-def _first_difference(step: str, results: dict[str, subprocess.CompletedProcess]) -> bool:
-    """Print the step's verdict; True if the two sides' outputs differ."""
-    (a_side, a), (b_side, b) = results.items()
-    a_lines, b_lines = a.stdout.splitlines(), b.stdout.splitlines()
-    for i, (a_line, b_line) in enumerate(zip_longest(a_lines, b_lines, fillvalue="<no line>")):
-        if a_line != b_line:
-            print(f"{step}: DIFFERS at line {i + 1}")
-            print(f"  {a_side}: {a_line}")
-            print(f"  {b_side}: {b_line}")
-            return True
-    print(f"{step}: {len(a_lines)} lines identical")
-    return False
+def _differing_lines(results: dict[str, subprocess.CompletedProcess]) -> list[tuple[int, str, str]]:
+    """``(line number, first side's line, second side's line)`` wherever the outputs differ."""
+    (_, a), (_, b) = results.items()
+    pairs = zip_longest(a.stdout.splitlines(), b.stdout.splitlines(), fillvalue="<no line>")
+    return [(i + 1, a_line, b_line) for i, (a_line, b_line) in enumerate(pairs) if a_line != b_line]
+
+
+def _report(step: str, script: str, results: dict[str, subprocess.CompletedProcess], moved: bool) -> bool:
+    """Print the step's verdict and its differences; True if the two sides' outputs differ.
+
+    By default only the first differing line is printed.  With ``moved``, a sweep
+    prints its count of differing lines and each side's summary line, the margins
+    print both outputs, and any other step prints every differing line.
+    """
+    (a_side, a), (b_side, _) = results.items()
+    differing = _differing_lines(results)
+    if not differing:
+        print(f"{step}: {len(a.stdout.splitlines())} lines identical")
+        return False
+    print(f"{step}: DIFFERS at {len(differing)} line(s), first at line {differing[0][0]}")
+    if moved and script == "margin.py":
+        for side, result in results.items():
+            for line in result.stdout.splitlines():
+                print(f"  {side}: {line}")
+    elif moved and script == "gate_sweep.py":
+        for side, result in results.items():
+            print(f"  {side}: {(result.stdout.splitlines() or ['<no output>'])[-1]}")
+    else:
+        for line_no, a_line, b_line in differing if moved else differing[:1]:
+            print(f"  line {line_no} {a_side}: {a_line}")
+            print(f"  line {line_no} {b_side}: {b_line}")
+    return True
 
 
 def _failed(step: str, results: dict[str, subprocess.CompletedProcess]) -> bool:
@@ -132,6 +160,8 @@ def main(argv: list[str]) -> int:
     p.add_argument("run_seed", type=int, metavar="RUN_SEED")
     p.add_argument("k", type=int, metavar="K")
     p.add_argument("workload", nargs="?", metavar="WORKLOAD")
+    p.add_argument("--moved", action="store_true",
+                   help="report differing outputs, sweeps and margins without stopping")
     p.add_argument("--pairs", type=int, default=0, metavar="N", help="timed benchmark pairs after the checks")
     args = p.parse_args(argv)
     names = [w["name"] for w in json.loads((HERE / "BENCHMARK.json").read_text())["workloads"]]
@@ -148,8 +178,8 @@ def main(argv: list[str]) -> int:
     steps += [("best-of-five margins", "margin.py", [])]
     for step, script, script_args in steps:
         results = _run_both(script, script_args, roots)
-        differs = _first_difference(step, results)
-        if _failed(step, results) or differs:
+        differs = _report(step, script, results, args.moved)
+        if _failed(step, results) or (differs and not args.moved):
             return 1
     return _timed_pairs(args.pairs, roots, names) if args.pairs else 0
 

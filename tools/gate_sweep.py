@@ -7,7 +7,9 @@ first K seeds of that stream and runs each operation with the benchmark's own
 ``run_op`` (the workload's ``ssnno`` commands in-process, then its
 correctness gate), untimed.  It prints one line per operation (its op seed,
 the ``repr`` of its quality score and the SHA-256 of every output its commands
-wrote) and every failure, and exits 1 if any operation failed.  The sweep
+wrote) and every failure, then a summary line with the failure count and the
+median quality score of the operations that passed (the statistic a timed run
+reports as ``output_error``), and exits 1 if any operation failed.  The sweep
 output of two checkouts differs only where the same operations came out
 differently, so ``diff`` of the two compares them on the same ops:
 
@@ -20,6 +22,7 @@ checkout and only read.
 
 from __future__ import annotations
 
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -44,7 +47,7 @@ def main(argv: list[str]) -> int:
     run_cli = bench.make_cli_runner(bench.load_cli())
     workload = bench.WORKLOADS[name](run_seed)
     sampler = Sampler(active=False)  # no timer: windows carry wall time only
-    failed = 0
+    failed, quality = 0, []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         workload.setup(work)
@@ -52,10 +55,13 @@ def main(argv: list[str]) -> int:
             op = bench.run_op(workload, workload.next_op_seed(), work / f"op{i}", sampler, run_cli)
             outputs = " ".join(f"{command}:{','.join(hashes)}" for command, hashes in op.hashes)
             print(f"op {i} seed {op.seed} quality {op.quality!r} {outputs}", flush=True)
-            if not op.ok:
+            if op.ok:
+                quality.append(op.quality)
+            else:
                 failed += 1
                 print(f"FAILED op {i} (op seed {op.seed}): {op.error}", flush=True)
-    print(f"{name} run seed {run_seed}: {failed} of {k} ops failed")
+    median = repr(statistics.median(quality)) if quality else "none"
+    print(f"{name} run seed {run_seed}: {failed} of {k} ops failed, median quality {median}")
     return 1 if failed else 0
 
 

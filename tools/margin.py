@@ -18,8 +18,9 @@ prints:
 - V_x2 and V_x3 as multiples of criterion 6's thresholds 0.0005 and 0.001.
   Criterion 6 needs V_x2 in (0.0005, 0.001] and V_x3 <= 0.0005.
 
-It takes about 20-40 s.  ``tools/compare.py`` runs it at two checkouts and
-diffs the lines.
+It ends with one ``FAILED`` line per criterion that would fail and a verdict
+line, and exits 1 if either criterion fails.  It takes about 20-40 s.
+``tools/compare.py`` runs it at two checkouts and diffs the lines.
 """
 
 from __future__ import annotations
@@ -61,7 +62,18 @@ def main(argv: list[str]) -> int:
         print("best unordered seed: none, every seed is ordered")
     for name, v in (("V_x2", winner[3][1]), ("V_x3", winner[3][2])):
         print(f"{name} {v:.4g}: " + ", ".join(f"{v / t:.3f} x {t}" for t in THRESHOLDS))
-    return 0
+    low, high = THRESHOLDS
+    failures = []
+    if not winner[2]:
+        failures.append(f"criterion 5: the winner, seed {winner[0]}, is not variance-ordered")
+    if not low < winner[3][1] <= high:
+        failures.append(f"criterion 6: V_x2 {winner[3][1]:.4g} is outside ({low}, {high}]")
+    if winner[3][2] > low:
+        failures.append(f"criterion 6: V_x3 {winner[3][2]:.4g} is above {low}")
+    for failure in failures:
+        print(f"FAILED {failure}")
+    print("criteria 5 and 6: " + ("fail" if failures else "pass"))
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
