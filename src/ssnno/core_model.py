@@ -318,26 +318,34 @@ def _first_non_finite(A: np.ndarray) -> int | None:
 # The two sequential recursions (``rollout`` and the training costate loop) run
 # over the rows of a buffer, and at the package's sizes building a row view
 # costs as much as a step's arithmetic.  So each use keeps one buffer and the
-# list of its rows, rebuilt only when its shape changes: ``rollout`` its input
-# term ("rollout drive"), its states ("rollout states") and, when it carries the
-# last hidden layer, that layer's values ("rollout hidden"); the gradient its
-# costates and a C copy of a strided Jacobian stack.  The package starts no
-# threads, and ``montecarlo --workers`` runs processes, each with its own cache.
-# No buffer may escape: a function copies out every array it returns or keeps,
-# since the next call of the same use overwrites the buffer.
+# list of its rows, rebuilt only when its shape changes.  Both loops write
+# ``W v + b`` as the one product ``[W | b] [v; 1]``: a carried row holds its
+# vector and a trailing 1, a step reads the whole row and writes the next row's
+# leading entries, so those uses also keep the list of each row's leading view.
+# ``rollout`` keeps its carried rows ("rollout carried": the states, or the last
+# hidden values when it folds the last layer), the per-step first-layer
+# matrices ``[W | drive_k]`` ("rollout first layer") and, when it folds, the
+# states ("rollout states"); the gradient its costate rows ("costates") and the
+# per-step matrices ``[J_k; G_X[:, k]ᵀ]`` ("costate jacobians").  The package
+# starts no threads, and ``montecarlo --workers`` runs processes, each with its
+# own cache.  No buffer may escape: a function copies out every array it
+# returns or keeps, since the next call of the same use overwrites the buffer.
 
-_SCRATCH: dict[str, tuple[np.ndarray, list[np.ndarray]]] = {}
+_SCRATCH: dict[str, tuple[np.ndarray, list[np.ndarray], list[np.ndarray] | None]] = {}
 
 
-def _scratch(use: str, shape: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The reusable buffer of ``shape`` for ``use``, and the list of its rows.
+def _scratch(use: str, shape: tuple[int, ...], lead: int | None = None
+             ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray] | None]:
+    """The reusable buffer of ``shape`` for ``use``, the list of its rows and,
+    with ``lead``, the list of each row's first ``lead`` entries (else None).
 
     The contents are whatever the last call of ``use`` left there.
     """
     entry = _SCRATCH.get(use)
     if entry is None or entry[0].shape != shape:
         buffer = np.empty(shape)
-        entry = _SCRATCH[use] = (buffer, list(buffer))
+        rows = list(buffer)
+        entry = _SCRATCH[use] = (buffer, rows, None if lead is None else [r[:lead] for r in rows])
     return entry
 
 
@@ -358,11 +366,16 @@ def rollout(model: SsnnModel, U: np.ndarray) -> np.ndarray:
       the last.  Then ``x_{k+1} = W_L h_k + b_L`` folds into the next step:
       ``h_k`` is the chain on ``A h_{k-1} + c_k`` with ``A = W_{1,x} W_L`` and
       ``c_k = drive_k + W_{1,x} b_L``, started from ``h_{-1} = 0`` and
-      ``c_0 = drive_0 + W_{1,x} x_0``.  For one hidden layer a step is three
-      numpy calls instead of five, and ``X[:, 1:] = W_L H + b_L`` is one
-      product after the loop.  The result is the unfolded recursion's up to
-      roundoff, not bit for bit.  Where ``A`` or ``c`` is not finite (their
+      ``c_0 = drive_0 + W_{1,x} x_0``, and ``X[:, 1:] = W_L H + b_L`` is one
+      product after the loop.  Where ``A`` or ``c`` is not finite (their
       products overflow) the loop carries the state instead.
+
+    Every layer operation is one product: ``W v + b`` is ``[W | b] [v; 1]``,
+    with a trailing 1 after the carried vector and after each inner value, and
+    the first layer's matrix is ``[W_carried | drive_k]`` for step ``k``.  So a
+    step of the default folded chain is two numpy calls (a product and a tanh).
+    The result is the plain ``W v + b`` recursion's up to roundoff, not bit
+    for bit.
 
     Raises
     ------
@@ -380,56 +393,56 @@ def rollout(model: SsnnModel, U: np.ndarray) -> np.ndarray:
         raise ValueError("input sequence must have at least one column")
     layers = model.state_layers
     first, last = layers[0], layers[-1]
-    # the C copy that np.dot would make of this column slice at every step
     state_weights = np.ascontiguousarray(first.weights[:, :d])
-    input_term = (first.weights[:, d:] @ U[:, :-1] + first.bias[:, None]).T
-    drive, drive_rows = _scratch("rollout drive", (n - 1, first.width))
-    np.copyto(drive, input_term)
-    X, rows = _scratch("rollout states", (n, d))
-    X[0] = model.x0
+    drive = (first.weights[:, d:] @ U[:, :-1] + first.bias[:, None]).T
     fold = (n > 1 and len(layers) > 1 and last.activation is ActivationKind.LINEAR
             and layers[-2].activation is ActivationKind.TANH)
     with np.errstate(over="ignore", invalid="ignore"):
         if fold:
             carried_weights = state_weights @ last.weights  # A
-            drive[0] += state_weights.dot(model.x0)
-            drive[1:] += state_weights.dot(last.bias)
-            fold = bool(np.isfinite(carried_weights).all() and np.isfinite(drive).all())
-            if not fold:  # a product overflowed: back to the plain input term
-                np.copyto(drive, input_term)
-        if fold:
-            chain = layers[:-1]
-            H, carried = _scratch("rollout hidden", (n, chain[-1].width))
-            H[0] = 0.0  # h_{-1}: A h_{-1} + c_0 is exactly c_0
+            c = drive + state_weights.dot(last.bias)
+            c[0] = drive[0] + state_weights.dot(model.x0)
+            fold = bool(np.isfinite(carried_weights).all() and np.isfinite(c).all())
+        if fold:  # h_{-1} = 0: [A | c_0] [h_{-1}; 1] is exactly c_0
+            chain, drive, start = layers[:-1], c, 0.0
         else:
-            carried_weights, chain, carried = state_weights, layers, rows
-        # per step each layer is a matrix-vector product, an add and an in-place
-        # tanh: Python dispatch, not arithmetic, is the cost of this loop, so every
-        # call writes through a positional ``out`` into a buffer made once here.
-        # Each inner layer of the chain has its own buffer (``dot``'s ``out`` may
-        # not alias its input) and the chain's last layer writes straight into the
-        # next carried row.
-        first_dot, add, tanh = carried_weights.dot, np.add, np.tanh
-        outs = [np.empty(l.width) for l in chain[:-1]] + [None]  # None: the next carried row
-        first_tanh, first_out = first.activation is ActivationKind.TANH, outs[0]
-        rest = [(l.weights.dot, l.bias, l.activation is ActivationKind.TANH, out)
-                for l, out in zip(chain[1:], outs[1:])]
-        for z, z_next, drive_k in zip(carried, carried[1:], drive_rows):
-            v = z_next if first_out is None else first_out
-            first_dot(z, v)
-            add(v, drive_k, v)
+            carried_weights, chain, start = state_weights, layers, model.x0
+        width = chain[-1].width
+        carried, rows, heads = _scratch("rollout carried", (n, width + 1), lead=width)
+        carried[0, :width] = start
+        carried[:, width] = 1.0
+        # [W_carried | drive_k] for every step: one broadcast copy and one column copy
+        stack, matrices, _ = _scratch("rollout first layer", (n - 1, first.width, width + 1))
+        stack[:, :, :width] = carried_weights
+        stack[:, :, width] = drive
+        # Python dispatch, not arithmetic, is the cost of this loop, so each layer
+        # is one product written through a positional ``out`` into a buffer made
+        # once here.  Each inner layer of the chain has its own buffer (``dot``'s
+        # ``out`` may not alias its input) with a trailing 1 for the next layer's
+        # bias column, and the chain's last layer writes straight into the leading
+        # entries of the next carried row.
+        tanh = np.tanh
+        outs = [np.ones(l.width + 1) for l in chain[:-1]]
+        out_heads = [o[:-1] for o in outs] + [None]  # None: the next carried row
+        first_tanh, first_out = first.activation is ActivationKind.TANH, out_heads[0]
+        rest = [(np.hstack([l.weights, l.bias[:, None]]).dot, l.activation is ActivationKind.TANH, v, out)
+                for l, v, out in zip(chain[1:], outs, out_heads[1:])]
+        for z, z_next, M_k in zip(rows, heads[1:], matrices):
+            y = z_next if first_out is None else first_out
+            M_k.dot(z, y)
             if first_tanh:
-                tanh(v, v)
-            for wdot, bias, is_tanh, out in rest:
+                tanh(y, y)
+            for wdot, is_tanh, v, out in rest:
                 y = z_next if out is None else out
                 wdot(v, y)
-                add(y, bias, y)
                 if is_tanh:
                     tanh(y, y)
-                v = y
-        if fold:  # x_{k+1} = W_L h_k + b_L for every step at once
-            H[1:].dot(last.weights.T, X[1:])
-            X[1:] += last.bias
+        if fold:  # x_{k+1} = [W_L | b_L] [h_k; 1] for every step at once
+            X, _, _ = _scratch("rollout states", (n, d))
+            X[0] = model.x0
+            carried[1:].dot(np.hstack([last.weights, last.bias[:, None]]).T, X[1:])
+        else:
+            X = carried[:, :d]
     X = X.T.copy()  # always a copy: for d = 1, ``ascontiguousarray`` would return the buffer
     step = _first_non_finite(X)
     if step is not None:

@@ -165,26 +165,25 @@ def _loss_and_gradient(model: SsnnModel, U, Y, w, alpha, beta):
             # state subnetwork: every step's layer values and state Jacobian at once
             f_cache = chain_forward(model.state_layers, np.vstack([X[:, :-1], U[:, :-1]]))
             _, jac = chain_jacobian(model.state_layers, f_cache[0], f_cache)
-            J = jac[:, :, :d]  # J[k] = dx_{k+1}/dx_k
-            if J[0].flags.c_contiguous or J[0].flags.f_contiguous:  # every J_k when d = 1
-                J_rows = list(J)
-            else:  # the C copy np.dot would make of each strided J_k
-                J_copy, J_rows = _scratch("costate jacobians", J.shape)
-                np.copyto(J_copy, J)
 
-            # the costate recursion lam_k = G_X[:, k] + J_k^T lam_{k+1} is the only loop;
-            # each costate is a contiguous row of a copy of G_Xᵀ, updated in place
-            # through one product buffer (a positional ``out`` allocates nothing)
-            Lam, lam_rows = _scratch("costates", G_X.T.shape)
-            np.copyto(Lam, G_X.T)
-            carry = np.empty(d)
-            for lam, lam_next, J_k in zip(lam_rows[-2::-1], lam_rows[:0:-1], J_rows[::-1]):
-                lam_next.dot(J_k, carry)
-                lam += carry
+            # the costate recursion lam_k = G_X[:, k] + J_k^T lam_{k+1} is the only loop,
+            # with J_k = dx_{k+1}/dx_k.  A step is the one product
+            # [lam_{k+1}, 1] [J_k; G_X[:, k]ᵀ] from a whole costate row (trailing 1)
+            # into the leading entries of the row before it, through a positional
+            # ``out`` that allocates nothing
+            n = G_X.shape[1]
+            J_aug, J_rows, _ = _scratch("costate jacobians", (n - 1, d + 1, d))
+            np.copyto(J_aug[:, :d], jac[:, :, :d])
+            J_aug[:, d] = G_X[:, :-1].T
+            Lam, lam_rows, lam_heads = _scratch("costates", (n, d + 1), lead=d)
+            Lam[-1, :d] = G_X[:, -1]
+            Lam[:, d] = 1.0
+            for lam, lam_next, J_k in zip(lam_heads[-2::-1], lam_rows[:0:-1], J_rows[::-1]):
+                lam_next.dot(J_k, lam)
 
             # each step's state output carries the costate of the next step
-            chain_vjp(model.state_layers, f_cache, Lam.T[:, 1:], f_grads)
-        grad[pos:] = Lam[0]
+            chain_vjp(model.state_layers, f_cache, Lam[1:, :d].T, f_grads)
+        grad[pos:] = Lam[0, :d]
         return grad
 
     return bd, X, gradient

@@ -1,10 +1,14 @@
+import copy
 import csv
 import hashlib
 import json
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssnno as s
 from ssnno import cli
@@ -512,3 +516,55 @@ def test_model_file_whose_top_level_is_not_an_object_is_usage_error(top, quick_m
     assert code == cli.USAGE_EXIT
     assert "reduced-model document must be a JSON object" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+FIXTURE = Path(__file__).parents[1] / "benchmarks" / "fixture"
+DELETE = object()
+# one entry at a time: deleted, or replaced by a value of another type or out of range
+MUTATIONS = (DELETE, None, [], {}, "s", 5, -1, float("inf"), [[1]])
+
+
+def _paths(doc, prefix=()):
+    """Every path into a JSON document, the root ``()`` first."""
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+@lru_cache(maxsize=None)
+def _fixture_paths(name):
+    return tuple(_paths(json.loads((FIXTURE / name).read_text())))
+
+
+def _mutated_text(name, path, mutation):
+    """The fixture file ``name`` with the entry at ``path`` mutated (deleting the root empties the file)."""
+    doc = json.loads((FIXTURE / name).read_text())
+    if not path:
+        return "" if mutation is DELETE else json.dumps(mutation)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(mutation)
+    return json.dumps(doc)  # json writes inf as Infinity
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["full_model.json", "reduced_model.json"]),
+       mutation=st.sampled_from(MUTATIONS))
+def test_mutated_model_files_end_in_an_exit_code_not_a_traceback(data, name, mutation, quick_model_dir):
+    # evaluate reads the full model and mpc the reduced one; every outcome is an exit code:
+    # 0 where the mutation leaves a usable model, 1 for a malformed file, 2 for a numerical failure
+    path = data.draw(st.sampled_from(_fixture_paths(name)), label="path")
+    with tempfile.TemporaryDirectory() as tmp:
+        broken = Path(tmp) / name
+        broken.write_text(_mutated_text(name, path, mutation))
+        if name == "full_model.json":
+            argv = ["evaluate", "--model", str(broken), "--data", str(quick_model_dir / "ds.csv"),
+                    "--out", str(Path(tmp) / "metrics.csv")]
+        else:
+            argv = ["mpc", "--reduced-model", str(broken), "--steps", "4", "--out", str(Path(tmp) / "log.csv")]
+        assert run(argv) in (0, cli.USAGE_EXIT, cli.NUMERIC_EXIT)

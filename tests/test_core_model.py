@@ -608,27 +608,30 @@ def test_state_overflow_squashed_back_still_diverges_at_its_step():
     assert err.value.step == 1
 
 
+def _plain_affine(weights, bias, v):
+    """``weights @ v + bias`` as the one out-of-place product ``[W | b] [v; 1]``."""
+    return np.dot(np.hstack([weights, bias[:, None]]), np.append(v, 1.0))
+
+
 def _plain_rollout(model, U):
-    """The state recursion as an out-of-place loop that stores each new state by setitem."""
+    """The state recursion as an out-of-place loop that stores each new state by setitem.
+
+    Each layer is one product ``[W | b] [v; 1]``; the first layer's bias column
+    at step ``k`` is the input term ``drive_k = W_{1,u} u_k + b_1``.
+    """
     d, n = model.state_dim, U.shape[1]
     first = model.state_layers[0]
     state_weights = first.weights[:, :d]
     drive = (first.weights[:, d:] @ U[:, :-1] + first.bias[:, None]).T.copy()
-    first_tanh = first.activation is s.ActivationKind.TANH
-    rest = [(l.weights, l.bias, l.activation is s.ActivationKind.TANH) for l in model.state_layers[1:]]
     X = np.empty((n, d))
     X[0] = x = model.x0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1):
-            x = np.dot(state_weights, x)
-            x += drive[k]
-            if first_tanh:
-                np.tanh(x, out=x)
-            for weights, bias, tanh in rest:
-                x = np.dot(weights, x)
-                x += bias
-                if tanh:
-                    np.tanh(x, out=x)
+            for i, layer in enumerate(model.state_layers):
+                x = _plain_affine(state_weights, drive[k], x) if i == 0 else \
+                    _plain_affine(layer.weights, layer.bias, x)
+                if layer.activation is s.ActivationKind.TANH:
+                    x = np.tanh(x)
             X[k + 1] = x
     X = np.ascontiguousarray(X.T)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
@@ -641,10 +644,10 @@ def _plain_folded_rollout(model, U):
     """The folded recursion as an out-of-place loop, or None where ``rollout`` does not fold.
 
     With a linear last state layer after a tanh one, the loop carries the last
-    hidden value: ``h_0`` is the chain of every layer but the last on
-    ``W_{1,x} x_0 + drive_0``, ``h_k`` the same chain on ``A h_{k-1} + c_k`` with
-    ``A = W_{1,x} W_L`` and ``c_k = drive_k + W_{1,x} b_L``, and the states
-    ``X[:, 1:] = W_L H + b_L`` come from one product after the loop.
+    hidden value: ``h_k`` is the chain of every layer but the last on
+    ``[A | c_k] [h_{k-1}; 1]`` with ``A = W_{1,x} W_L``, ``c_k = drive_k + W_{1,x} b_L``,
+    ``c_0 = drive_0 + W_{1,x} x_0`` and ``h_{-1} = 0``, and the states
+    ``X[:, 1:] = [W_L | b_L] [H; 1]`` come from one product after the loop.
     """
     d, n = model.state_dim, U.shape[1]
     layers = model.state_layers
@@ -657,22 +660,20 @@ def _plain_folded_rollout(model, U):
     with np.errstate(over="ignore", invalid="ignore"):
         A = state_weights @ last.weights
         c = drive + state_weights @ last.bias
-        start = drive[0] + state_weights @ model.x0
-        if not (np.isfinite(A).all() and np.isfinite(c[1:]).all() and np.isfinite(start).all()):
+        c[0] = drive[0] + state_weights @ model.x0
+        if not (np.isfinite(A).all() and np.isfinite(c).all()):
             return None
         H = np.empty((n - 1, layers[-2].width))
+        h = np.zeros(layers[-2].width)
         for k in range(n - 1):
-            h = start.copy() if k == 0 else np.dot(A, h) + c[k]
-            if first.activation is s.ActivationKind.TANH:
-                np.tanh(h, out=h)
-            for layer in layers[1:-1]:
-                h = np.dot(layer.weights, h) + layer.bias
+            for i, layer in enumerate(layers[:-1]):
+                h = _plain_affine(A, c[k], h) if i == 0 else _plain_affine(layer.weights, layer.bias, h)
                 if layer.activation is s.ActivationKind.TANH:
-                    np.tanh(h, out=h)
+                    h = np.tanh(h)
             H[k] = h
         X = np.empty((n, d))
         X[0] = model.x0
-        X[1:] = H @ last.weights.T + last.bias
+        X[1:] = np.dot(np.hstack([H, np.ones((n - 1, 1))]), np.hstack([last.weights, last.bias[:, None]]).T)
     X = np.ascontiguousarray(X.T)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
     if bad.size:
@@ -709,8 +710,9 @@ def _states_or_divergence_step(evaluate, model, U):
        hidden=st.lists(st.integers(1, 5), max_size=2), tanh=st.lists(st.booleans(), min_size=3, max_size=3),
        n=st.integers(1, 300), scale=st.floats(0.3, 6.0))
 def test_rollout_matches_plain_loop_bitwise(seed, d, m, hidden, tanh, n, scale):
-    # where rollout folds the last state layer into the next step, its bitwise reference is
-    # the folded loop, and the unfolded recursion must agree to roundoff and diverge at the same step
+    # the bitwise reference is the augmented loop rollout runs (folded where rollout folds), and the
+    # plain W v + b recursion must agree to roundoff: the folded loop must diverge where the unfolded
+    # one does, and every state must match one plain step from the state before it
     rng = np.random.default_rng(seed)
     arch = s.SsnnArchitecture(d, m, 1, tuple(hidden) + (d,), (1,))
     acts = tuple(s.ActivationKind.TANH if t else s.ActivationKind.LINEAR for t in tanh)
@@ -725,12 +727,11 @@ def test_rollout_matches_plain_loop_bitwise(seed, d, m, hidden, tanh, n, scale):
         assert got == want
     else:
         assert isinstance(got, np.ndarray) and np.array_equal(got, want)
-    if folded is not None:
-        if isinstance(plain, int):
-            assert got == plain
-        else:
-            # each state against one unfolded step from the state before it: over the whole
-            # horizon the recursion can amplify the roundoff between the two loops
-            assert isinstance(got, np.ndarray)
-            steps = _plain_steps(model, got, U)
-            assert np.abs(got[:, 1:] - steps).max() <= 1e-12 * np.abs(got).max()
+    if isinstance(plain, int):
+        assert got == plain
+    elif n > 1:
+        # each state against one plain step from the state before it: over the whole
+        # horizon the recursion can amplify the roundoff between the two float orders
+        assert isinstance(got, np.ndarray)
+        steps = _plain_steps(model, got, U)
+        assert np.abs(got[:, 1:] - steps).max() <= 1e-12 * np.abs(got).max()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssnno as s
 from ssnno.reduction import VarianceOrderingError
@@ -102,6 +103,36 @@ def test_reduce_exact_for_constant_residual_state():
         full = s.simulate(model, U2)
         red = s.reduced_simulate(rm, U2)
         assert np.abs(full.outputs - red.outputs).max() < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), hidden=st.lists(st.integers(1, 5), max_size=2),
+       tanh_last=st.booleans(), scale=st.floats(0.1, 1.0))
+def test_reduce_exact_for_random_constant_residual_states(seed, d, hidden, tanh_last, scale):
+    # the trailing states have zero rows in the last state layer and start at the value their
+    # row gives (the bias entry, or its tanh), so they are constant by construction.  A linear
+    # last layer after a tanh one is the case rollout folds; the other draws run the unfolded loop
+    rng = np.random.default_rng(seed)
+    m, p, kept = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(1, d + 1))
+    arch = s.SsnnArchitecture(d, m, p, tuple(hidden) + (d,), (3, p))
+    last_act = s.ActivationKind.TANH if tanh_last else s.ActivationKind.LINEAR
+    model = s.unflatten_params(arch, scale * rng.uniform(-1.0, 1.0, arch.n_params),
+                               state_activations=(s.ActivationKind.TANH,) * len(hidden) + (last_act,))
+    last = model.state_layers[-1]
+    weights = last.weights.copy()
+    weights[kept:] = 0.0
+    constant = np.tanh(last.bias[kept:]) if tanh_last else last.bias[kept:]
+    model = s.SsnnModel(arch, model.state_layers[:-1] + (s.LayerParams(weights, last.bias, last_act),),
+                        model.output_layers, np.concatenate([rng.uniform(-1.0, 1.0, kept), constant]))
+    U = rng.standard_normal((m, int(rng.integers(2, 301))))
+    full = s.simulate(model, U)
+    assert np.array_equal(full.states[kept:], np.repeat(constant[:, None], U.shape[1], axis=1))
+    stats = s.variance_stats(full.states)
+    report = s.SignificanceReport(delta=0.0, variances=stats.variances, significant_count=kept,
+                                  residual_mean=stats.mean[kept:])
+    red = s.simulate(s.reduce(model, report).model, U)
+    assert np.abs(red.outputs - full.outputs).max() <= 1e-12 * np.abs(full.outputs).max()
+    assert np.abs(red.states - full.states[:kept]).max() <= 1e-12 * np.abs(full.states).max()
 
 
 def test_reduce_touches_only_boundary_layers():

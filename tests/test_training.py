@@ -459,7 +459,11 @@ def test_line_search_computes_gradients_only_for_trials_it_uses(monkeypatch):
 
 
 def _plain_loss_gradient(model, data, weights):
-    """The training gradient with the costate recursion written ``lam += lam_next @ J_k``."""
+    """The training gradient with the costate recursion as a plain out-of-place loop.
+
+    A step is the one product ``[lam_{k+1}, 1] [J_k; G_X[:, k]ᵀ]``.  Also returns
+    the costates, every ``G_X`` column and every state Jacobian ``J_k``.
+    """
     cm = s.core_model
     U, Y, d = data.U_train, data.Y_train, model.state_dim
     X = cm.rollout(model, U)
@@ -474,12 +478,12 @@ def _plain_loss_gradient(model, data, weights):
         f_cache = cm.chain_forward(model.state_layers, np.vstack([X[:, :-1], U[:, :-1]]))
         J = cm.chain_jacobian(model.state_layers, f_cache[0], f_cache)[1][:, :, :d]
         Lam_rows = G_X.T.copy()
-        for lam, lam_next, J_k in zip(Lam_rows[-2::-1], Lam_rows[:0:-1], J[::-1]):
-            lam += lam_next @ J_k
+        for k in reversed(range(X.shape[1] - 1)):
+            Lam_rows[k] = np.dot(np.append(Lam_rows[k + 1], 1.0), np.vstack([J[k], G_X[:, k]]))
         f_grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.state_layers]
         cm.chain_vjp(model.state_layers, f_cache, Lam_rows.T[:, 1:], f_grads)
-    return np.concatenate([part for gw, gb in f_grads + g_grads for part in (gw.ravel(), gb)]
-                          + [Lam_rows[0]])
+    grad = np.concatenate([part for gw, gb in f_grads + g_grads for part in (gw.ravel(), gb)] + [Lam_rows[0]])
+    return grad, Lam_rows.T, G_X, J
 
 
 @settings(max_examples=100, deadline=None)
@@ -494,8 +498,13 @@ def test_loss_gradient_matches_plain_costate_loop_bitwise(seed, d, hidden, tanh,
     U = rng.uniform(-1, 1, (2, n))
     data = s.Dataset.from_arrays(U, np.sin(np.cumsum(U, axis=1))[:1])
     weights = s.LossWeights.default(d, 0.1, 0.1)
-    assert np.array_equal(s.loss_gradient(model, data, weights), _plain_loss_gradient(model, data, weights),
+    plain, Lam, G_X, J = _plain_loss_gradient(model, data, weights)
+    assert np.array_equal(s.loss_gradient(model, data, weights), plain,
                           equal_nan=True)  # bit for bit, NaN where the costates overflowed included
+    if np.isfinite(Lam).all():
+        # each costate against one plain step G_X[:, k] + J_kᵀ lam_{k+1} from the costate after it
+        steps = np.column_stack([G_X[:, k] + J[k].T @ Lam[:, k + 1] for k in range(n - 1)])
+        assert np.abs(Lam[:, :-1] - steps).max() <= 1e-12 * np.abs(Lam).max()
 
 
 def _plain_two_loop(grad, mem):
